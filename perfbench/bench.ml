@@ -198,7 +198,6 @@ let chain_exhaustion ~seed ~duration =
 type workload = {
   name : string;
   why : string;
-  listed : bool;  (** run by the benchmark harness; see [unlisted_why] *)
   inputs : (string * string) list;
   duration : float;  (** simulated seconds of each instance *)
   instances : int;  (** scenario instances per sample *)
@@ -213,14 +212,16 @@ let run_instances ?(before = ignore) w ~seed ~duration =
          before ();
          w.run ~seed:((seed * w.instances) + i) ~duration))
 
-(* 3 of the scenario's default 30 simulated seconds, over three generated
+(* 6 of the scenario's default 30 simulated seconds, over three generated
    Internets per sample. The attack starts at 1 s, so each workload keeps
    its character (vanilla never converges, adaptive converges at about
-   1.1 s). Hop counts differ by about 15% from one generated Internet to
-   the next; summing three instances halves that spread between workload
-   seeds, and a sample still takes only 1-2 host seconds, so one run
-   holds enough samples for a steady fastest one on a shared host. *)
-let internet_duration = 3.
+   1.1 s), and set-up (topology, gateways, pools) is under a tenth of a
+   sample's wall time, so the run phase is what a sample measures. Hop
+   counts differ by up to 15% from one generated Internet to the next;
+   summing three instances halves that spread between workload seeds. A
+   sample takes 2-3 host seconds, so one run holds enough samples for a
+   steady median on a shared host. *)
+let internet_duration = 6.
 let internet_instances = 3
 
 let internet_inputs =
@@ -240,7 +241,6 @@ let workloads =
         "Vanilla placement never converges, so packet-hops cross links, \
          nodes and gateway filter probes all run long: the per-hop read \
          path.";
-      listed = true;
       inputs = internet_inputs @ [ ("placement", "vanilla"); ("shards", "1") ];
       duration = internet_duration;
       instances = internet_instances;
@@ -249,15 +249,9 @@ let workloads =
     {
       name = "internet-adaptive";
       why =
-        "Adaptive placement converges early: few hops, and the placement \
-         controller's epoch ticks and filter installs dominate.";
-      (* Run it by name for the placement layer. Its hop count still
-         varies by about 10% between workload seeds after summing three
-         instances, and its run time does not follow the hops, so between
-         runs hops_per_s spread by 30-36% and wall_s by 23-24% over two
-         sets of ten seeds on a shared 2-core host: more than the largest
-         bound the harness allows. *)
-      listed = false;
+        "Adaptive placement converges at about 1.1 s: hops fall, and the \
+         placement controller's epoch ticks and filter installs take as \
+         much event time as the per-hop path.";
       inputs = internet_inputs @ [ ("placement", "adaptive"); ("shards", "1") ];
       duration = internet_duration;
       instances = internet_instances;
@@ -269,7 +263,6 @@ let workloads =
         "Figure-1 chain under slot and shadow exhaustion with the overload \
          manager: every packet is an event and filter tables churn, the \
          filter write path.";
-      listed = true;
       inputs =
         [
           ("scenario", "Scenarios.default_chain");
@@ -291,10 +284,6 @@ let workloads =
       why =
         "internet-vanilla on two worker domains: the only workload through \
          the parallel scheduler's windows, cross-shard posts and defers.";
-      (* Run it by name for the parallel layer. With three domains on two
-         shared cores its wall time and peak heap spread by 30-40% between
-         runs, more than the largest bound the harness allows. *)
-      listed = false;
       inputs = internet_inputs @ [ ("placement", "vanilla"); ("shards", "2") ];
       duration = internet_duration;
       instances = internet_instances;
@@ -305,6 +294,11 @@ let workloads =
 (* A near-zero simulated duration: the scenario builds its topology,
    deploys gateways and attaches pools, then stops before any traffic. *)
 let setup_duration = 1e-6
+
+(* A set-up sample repeats set-up in its process for at least this long
+   and reports the median repetition: the chain sets up in well under a
+   millisecond, too short to time once. *)
+let setup_min_s = 0.25
 
 (* ------------------------------------------------------------------ *)
 (* Per-layer trace                                                     *)
@@ -362,6 +356,7 @@ type buf = {
   mutable peak_depth : int;
   mutable idle : int;  (* ns between events spent blocked or descheduled *)
   mutable fresh : bool;  (* the next event follows non-event work *)
+  cost : int array;  (* per layer: Sim's own measure of its events, ns *)
   keys : string array;  (* labels seen, compared physically *)
   vals : int array;
   mutable nkeys : int;
@@ -390,6 +385,7 @@ let buf_key =
           peak_depth = 0;
           idle = 0;
           fresh = false;
+          cost = Array.make n_layers 0;
           keys = Array.make 64 "";
           vals = Array.make 64 0;
           nkeys = 0;
@@ -419,10 +415,12 @@ let layer_index b = function
 (* Called by [Sim] after every event. A span runs from the domain's
    previous span end to now, capped by the domain's own CPU time over that
    interval, so time a worker spent parked at a barrier is not charged to
-   the next event. Sim's cost argument is process CPU time and is ignored.
-   The clock is read again at the end so the hook's own cost is left out
-   of the next span. *)
-let hook label (_ : float) depth =
+   the next event. Sim's cost argument (process CPU time around the event's
+   action alone) is not used for spans; it is summed per layer so that the
+   self-test can check span times against an independent measure. The
+   clock is read again at the end so the hook's own cost is left out of the
+   next span. *)
+let hook label cost depth =
   let b = Domain.DLS.get buf_key in
   let stop = monotonic_ns () in
   let cpu = thread_cpu_ns () in
@@ -435,8 +433,9 @@ let hook label (_ : float) depth =
     b.cur <- Array.make (4 * chunk_spans) 0;
     b.pos <- 0
   end;
-  let a = b.cur and p = b.pos in
-  a.(p) <- layer_index b label;
+  let a = b.cur and p = b.pos and l = layer_index b label in
+  b.cost.(l) <- b.cost.(l) + int_of_float (cost *. 1e9);
+  a.(p) <- l;
   a.(p + 1) <- stop - dur;
   a.(p + 2) <- stop;
   a.(p + 3) <- (if fresh then 0 else words - b.last_words);
@@ -478,7 +477,8 @@ let write_spans path ~origin bufs =
 let trace_summary bufs =
   let busy = Array.make n_layers 0
   and events = Array.make n_layers 0
-  and words = Array.make n_layers 0 in
+  and words = Array.make n_layers 0
+  and cost = Array.make n_layers 0 in
   let depth = ref 0 in
   let domains =
     List.map
@@ -491,6 +491,7 @@ let trace_summary bufs =
             dbusy := !dbusy + (stop - start);
             incr dev);
         depth := max !depth b.peak_depth;
+        Array.iteri (fun l c -> cost.(l) <- cost.(l) + c) b.cost;
         Json.Obj
           [
             ("domain", Json.Int b.dom);
@@ -513,6 +514,7 @@ let trace_summary bufs =
                         ("busy_s", Json.Float (seconds busy.(i)));
                         ("events", Json.Int events.(i));
                         ("words", Json.Int words.(i));
+                        ("engine_cost_s", Json.Float (seconds cost.(i)));
                       ] ))
                 layers)) );
       ("domains", Json.List domains);
@@ -534,34 +536,69 @@ let gc_json () =
       ("space_overhead", Json.Int g.Gc.space_overhead);
     ]
 
-let sample w ~seed ~mode ~duration ~spans =
-  Sched.set_default_clock (fun () -> seconds (monotonic_ns ()));
-  let traced = mode = "traced" in
-  if traced then Sim.set_default_profile_hook hook;
-  (* [Gc.quick_stat] counts a domain's minor words only at its minor
-     collections (joined worker domains are folded in), so empty the minor
-     heap on both sides of the run to make the delta exact. *)
+(* One timed run of [w]'s instances: wall time on the monotonic clock and
+   [Gc.quick_stat] on both sides. [Gc.quick_stat] counts a domain's minor
+   words only at its minor collections (joined worker domains are folded
+   in), so the minor heap is emptied on both sides to make the delta
+   exact. *)
+let measure w ~seed ~duration ~before =
   Gc.minor ();
   let g0 = Gc.quick_stat () in
   let t0 = monotonic_ns () in
   let result =
-    try
-      Ok
-        (run_instances w ~seed ~duration
-           ~before:(if traced then restart_spans else ignore))
+    try Ok (run_instances w ~seed ~duration ~before)
     with e -> Error (Printexc.to_string e)
   in
   let t1 = monotonic_ns () in
   Gc.minor ();
   let g1 = Gc.quick_stat () in
+  (result, t0, t1, g0, g1)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+let sample w ~seed ~mode ~duration ~spans =
+  Sched.set_default_clock (fun () -> seconds (monotonic_ns ()));
+  let traced = mode = "traced" in
+  if traced then Sim.set_default_profile_hook hook;
+  let result, t0, t1, g0, g1 =
+    measure w ~seed ~duration ~before:(if traced then restart_spans else ignore)
+  in
   if traced then Sim.clear_default_profile_hook ();
+  (* Set-up repeats: each must reach the same outcome as the first, whose
+     GC deltas (a fresh process's) are the ones reported. *)
+  let result, walls =
+    if mode <> "setup" then (result, [ seconds (t1 - t0) ])
+    else
+      let rec more result walls total =
+        match result with
+        | Ok (_, fp) when total < setup_min_s ->
+          let r, t0, t1, _, _ = measure w ~seed ~duration ~before:ignore in
+          let wall = seconds (t1 - t0) in
+          let result =
+            match r with
+            | Ok (_, fp') when fp' <> fp ->
+              Error ("set-up repetition reached " ^ fp' ^ ", first " ^ fp)
+            | Error _ -> r
+            | Ok _ -> result
+          in
+          more result (wall :: walls) (total +. wall)
+        | _ -> (result, walls)
+      in
+      let wall = seconds (t1 - t0) in
+      more result [ wall ] wall
+  in
   let common =
     [
       ("workload", Json.String w.name);
       ("seed", Json.Int seed);
       ("mode", Json.String mode);
       ("duration", Json.Float duration);
-      ("wall_s", Json.Float (seconds (t1 - t0)));
+      ("wall_s", Json.Float (median walls));
+      ("repetitions", Json.Int (List.length walls));
       ("gc", gc_json ());
     ]
   in
@@ -606,7 +643,6 @@ let describe () =
                  [
                    ("name", Json.String w.name);
                    ("why", Json.String w.why);
-                   ("listed", Json.Bool w.listed);
                    ("default_seed", Json.Int 42);
                    ("simulated_s", Json.Float w.duration);
                    ("instances", Json.Int w.instances);
