@@ -9,7 +9,7 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 module Counter = Aitf_stats.Counter
 module Table = Aitf_stats.Table
 module Rate_meter = Aitf_stats.Rate_meter
@@ -92,8 +92,7 @@ let chain_params =
    B_gw1. *)
 let f1 () =
   let sink, events = Trace.collecting_sink () in
-  Trace.add_sink sink;
-  let sim = Sim.create () in
+  let sim = Sim.create ~obs:(Aitf_obs.Obs.create ~trace:[ sink ] ()) () in
   let rng = Rng.create ~seed:1 in
   let topo = Chain.build sim Chain.default_spec in
   let d = Chain.deploy ~attacker_strategy:Policy.Complies ~config:cfg ~rng topo in
@@ -104,7 +103,6 @@ let f1 () =
       ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker
   in
   Sim.run ~until:6.0 sim;
-  Trace.clear_sinks ();
   let table =
     Table.create ~title:"F1  Figure-1 walk-through (protocol timeline)"
       ~columns:[ "t (s)"; "node"; "event" ]
@@ -2552,13 +2550,10 @@ let e22 () =
       let t0 = Unix.gettimeofday () in
       let plain = As_scenario.run (params shards) in
       let wall_plain = Unix.gettimeofday () -. t0 in
-      Span.reset_mint ();
       let sp = Span.create () in
-      Span.attach sp;
       let t1 = Unix.gettimeofday () in
       let traced =
-        Fun.protect ~finally:Span.detach (fun () ->
-            As_scenario.run (params shards))
+        As_scenario.run ~obs:(Aitf_obs.Obs.create ~spans:sp ()) (params shards)
       in
       let wall_traced = Unix.gettimeofday () -. t1 in
       let digest = Span.digest sp in

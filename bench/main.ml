@@ -195,11 +195,17 @@ let dispatch id =
 let run_one id =
   if not !Experiments.collect_json then dispatch id
   else begin
+    (* Experiments build their worlds internally, so the profiler rides the
+       default hook every new world inherits. Shard worlds run on worker
+       domains; only main-domain events are counted, so the probe is never
+       shared across domains. *)
     let profiler =
       if id = "micro" then None
       else begin
         let p = Aitf_obs.Profile.create () in
-        Aitf_obs.Profile.attach p;
+        Sim.set_default_profile_hook (fun label secs pending ->
+            if Domain.is_main_domain () then
+              Aitf_obs.Profile.probe p label secs pending);
         Some p
       end
     in
@@ -210,7 +216,7 @@ let run_one id =
         let engine =
           Option.map
             (fun p ->
-              Aitf_obs.Profile.detach ();
+              Sim.clear_default_profile_hook ();
               (Aitf_obs.Profile.events p, Aitf_obs.Profile.peak_pending p))
             profiler
         in

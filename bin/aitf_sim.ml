@@ -32,7 +32,6 @@
 *)
 
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
 module Series = Aitf_stats.Series
 module Table = Aitf_stats.Table
 open Aitf_core
@@ -145,12 +144,6 @@ type obs_opts = {
   slo : float option;
 }
 
-type obs_state = {
-  collector : Aitf_obs.Span.t option;
-  recorder : Aitf_obs.Flight.t option;
-  profiler : Aitf_obs.Profile.t option;
-}
-
 let obs_term =
   let spans =
     Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE"
@@ -201,25 +194,22 @@ let obs_term =
           profile; slo })
     $ spans $ flight $ flight_dump $ flight_dump_file $ profile $ slo)
 
-let obs_attach (o : obs_opts) =
-  let collector =
-    if o.spans_file <> None || o.slo <> None then begin
-      let t = Aitf_obs.Span.create () in
-      Aitf_obs.Span.attach t;
-      Some t
-    end
+(* The world's observer context from the shared flags, plus the
+   subcommand's own registry and trace sinks. *)
+let obs_create ?metrics ?trace (o : obs_opts) =
+  let spans =
+    if o.spans_file <> None || o.slo <> None then Some (Aitf_obs.Span.create ())
     else None
   in
-  let recorder =
+  let flight =
     if o.flight_capacity > 0 then begin
       let f = Aitf_obs.Flight.create ~capacity:o.flight_capacity in
       Aitf_obs.Flight.set_dump_path f o.flight_dump_file;
-      Aitf_obs.Flight.attach f;
       Some f
     end
     else None
   in
-  (match (collector, o.slo) with
+  (match (spans, o.slo) with
   | Some t, Some seconds ->
     Aitf_obs.Span.set_slo t ~seconds (fun root ->
         Format.eprintf "-- SLO breach: corr=%d flow=%s took %.3fs (> %gs) --@."
@@ -228,45 +218,35 @@ let obs_attach (o : obs_opts) =
           | Some c -> c -. root.Aitf_obs.Span.opened_at
           | None -> nan)
           seconds;
-        match recorder with
+        match flight with
         | Some f -> Aitf_obs.Flight.auto_dump f
         | None -> ())
   | _ -> ());
-  let profiler =
-    if o.profile then begin
-      let p = Aitf_obs.Profile.create () in
-      Aitf_obs.Profile.attach p;
-      Some p
-    end
-    else None
-  in
-  { collector; recorder; profiler }
+  let profile = if o.profile then Some (Aitf_obs.Profile.create ()) else None in
+  Aitf_obs.Obs.create ?metrics ?spans ?flight ?profile ?trace ()
 
-(* Detach everything (reverse order), export the span forest, and surface
-   the profiler through the registry so the JSON run report written later
+(* Export the span forest, print the recorder and profiler, and surface the
+   profiler through the registry so the JSON run report written later
    carries the hot-path buckets. *)
-let obs_finish (o : obs_opts) (st : obs_state) ~registry ~now =
-  (match st.profiler with
+let obs_finish (o : obs_opts) (obs : Aitf_obs.Obs.t) ~now =
+  (match obs.Aitf_obs.Obs.profile with
   | None -> ()
   | Some p ->
-    Aitf_obs.Profile.detach ();
-    (match registry with
+    (match obs.Aitf_obs.Obs.metrics with
     | Some reg ->
       Aitf_obs.Profile.register_metrics p reg ~prefix:"engine.profile"
     | None -> ());
     print_string (Aitf_obs.Profile.report p));
-  (match st.recorder with
+  (match obs.Aitf_obs.Obs.flight with
   | None -> ()
   | Some f ->
-    Aitf_obs.Flight.detach ();
     Printf.printf "flight recorder: %d record(s) seen, last %d retained\n"
       (Aitf_obs.Flight.recorded f)
       (List.length (Aitf_obs.Flight.records f));
     if o.flight_dump then Aitf_obs.Flight.dump f);
-  match st.collector with
+  match obs.Aitf_obs.Obs.spans with
   | None -> ()
   | Some t ->
-    Aitf_obs.Span.detach ();
     (match o.spans_file with
     | None -> ()
     | Some file ->
@@ -435,16 +415,16 @@ let run_cmd =
       metrics_interval traceback loss burst_loss dup flap ctrl_retries
       ctrl_rto adversary overload filter_capacity engine hybrid_epoch
       probe_rate obs =
-    if trace then Trace.add_sink (Trace.printing_sink ());
     let registry =
-      if metrics <> None || metrics_csv <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
+      if metrics <> None || metrics_csv <> None then
+        Some (Aitf_obs.Metrics.create ())
       else None
     in
-    let obs_state = obs_attach obs in
+    let obs_ctx =
+      obs_create ?metrics:registry
+        ~trace:(if trace then [ Aitf_obs.Trace.printing_sink () ] else [])
+        obs
+    in
     let config =
       {
         Config.default with
@@ -497,10 +477,8 @@ let run_cmd =
         in_pool_legit_rate = (if adversary <> [] then legit_rate /. 10. else 0.);
       }
     in
-    let r = Scenarios.run_chain params in
-    Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
-    if trace then Trace.clear_sinks ();
+    let r = Scenarios.run_chain ~obs:obs_ctx params in
+    obs_finish obs obs_ctx ~now:duration;
     let table =
       Table.create ~title:"scenario result" ~columns:[ "metric"; "value" ]
     in
@@ -576,7 +554,7 @@ let run_cmd =
       let module Json = Aitf_obs.Json in
       let series =
         match r.Scenarios.sampler with
-        | Some s -> Aitf_obs.Sampler.series s
+        | Some s -> Aitf_engine.Sampler.series s
         | None -> []
       in
       let meta =
@@ -671,16 +649,11 @@ let flood_cmd =
   let run isps nets hosts zombies rate duration seed no_aitf metrics
       metrics_interval engine obs =
     let registry =
-      if metrics <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
-      else None
+      if metrics <> None then Some (Aitf_obs.Metrics.create ()) else None
     in
-    let obs_state = obs_attach obs in
+    let obs_ctx = obs_create ?metrics:registry obs in
     let r =
-      Scenarios.run_flood
+      Scenarios.run_flood ~obs:obs_ctx
         {
           Scenarios.default_flood with
           Scenarios.hierarchy =
@@ -705,8 +678,7 @@ let flood_cmd =
              else Scenarios.default_flood.Scenarios.flood_sample_period);
         }
     in
-    Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
+    obs_finish obs obs_ctx ~now:duration;
     let table =
       Table.create ~title:"flood result" ~columns:[ "metric"; "value" ]
     in
@@ -742,7 +714,7 @@ let flood_cmd =
       let module Json = Aitf_obs.Json in
       let series =
         match r.Scenarios.flood_sampler with
-        | Some s -> Aitf_obs.Sampler.series s
+        | Some s -> Aitf_engine.Sampler.series s
         | None -> []
       in
       let meta =
@@ -825,16 +797,11 @@ let swarm_cmd =
   let run sources pools attack_rate legit_rate duration seed td hybrid_epoch
       probe_rate metrics metrics_interval obs =
     let registry =
-      if metrics <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
-      else None
+      if metrics <> None then Some (Aitf_obs.Metrics.create ()) else None
     in
-    let obs_state = obs_attach obs in
+    let obs_ctx = obs_create ?metrics:registry obs in
     let r =
-      Scenarios.run_swarm
+      Scenarios.run_swarm ~obs:obs_ctx
         {
           Scenarios.default_swarm with
           Scenarios.swarm_config =
@@ -855,8 +822,7 @@ let swarm_cmd =
              else Scenarios.default_swarm.Scenarios.swarm_sample_period);
         }
     in
-    Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
+    obs_finish obs obs_ctx ~now:duration;
     let table =
       Table.create ~title:"swarm result" ~columns:[ "metric"; "value" ]
     in
@@ -881,7 +847,7 @@ let swarm_cmd =
       let module Json = Aitf_obs.Json in
       let series =
         match r.Scenarios.swarm_sampler with
-        | Some s -> Aitf_obs.Sampler.series s
+        | Some s -> Aitf_engine.Sampler.series s
         | None -> []
       in
       let meta =
@@ -1104,16 +1070,11 @@ let internet_cmd =
       byzantine_fraction lying_mode contract_r1 contract_r2 audit_deadline
       audit_grace shards obs =
     let registry =
-      if metrics <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
-      else None
+      if metrics <> None then Some (Aitf_obs.Metrics.create ()) else None
     in
-    let obs_state = obs_attach obs in
+    let obs_ctx = obs_create ?metrics:registry obs in
     let r =
-      As_scenario.run
+      As_scenario.run ~obs:obs_ctx
         {
           As_scenario.default with
           As_scenario.as_spec =
@@ -1165,21 +1126,7 @@ let internet_cmd =
           as_shards = shards;
         }
     in
-    Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
-    (* Shard profilers are per-instance (obs_finish only reported the
-       default probe, i.e. the coordinator); merge them into one table. *)
-    (match r.As_scenario.r_shard_profiles with
-    | [] -> ()
-    | profs ->
-      let merged = Aitf_obs.Profile.merge profs in
-      (match registry with
-      | Some reg ->
-        Aitf_obs.Profile.register_metrics merged reg
-          ~prefix:"engine.profile.shards"
-      | None -> ());
-      print_string "shard sims (merged):\n";
-      print_string (Aitf_obs.Profile.report merged));
+    obs_finish obs obs_ctx ~now:duration;
     let table =
       Table.create
         ~title:

@@ -13,7 +13,7 @@
 module Table = Aitf_stats.Table
 module Series = Aitf_stats.Series
 module Metrics = Aitf_obs.Metrics
-module Sampler = Aitf_obs.Sampler
+module Sampler = Aitf_engine.Sampler
 module Scenarios = Aitf_workload.Scenarios
 
 let params =
@@ -33,12 +33,12 @@ let () =
     params.Scenarios.zombies
     (params.Scenarios.zombie_rate /. 1e6);
   let off = Scenarios.run_flood { params with Scenarios.with_aitf = false } in
-  (* One fresh registry per run: attach it around the AITF run only, so
+  (* One fresh registry per run, given to the AITF run's world only, so
      every gateway and agent self-registers as the topology deploys. *)
   let reg = Metrics.create () in
-  Metrics.attach reg;
-  let on = Scenarios.run_flood params in
-  Metrics.detach ();
+  let on =
+    Scenarios.run_flood ~obs:(Aitf_obs.Obs.create ~metrics:reg ()) params
+  in
   let table =
     Table.create ~title:"with vs without AITF"
       ~columns:

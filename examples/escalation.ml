@@ -12,7 +12,7 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 module Counter = Aitf_stats.Counter
 open Aitf_net
 open Aitf_core
@@ -20,8 +20,8 @@ open Aitf_topo
 module Traffic = Aitf_workload.Traffic
 
 let () =
-  Trace.add_sink (Trace.printing_sink ());
-  let sim = Sim.create () in
+  let obs = Aitf_obs.Obs.create ~trace:[ Trace.printing_sink () ] () in
+  let sim = Sim.create ~obs () in
   let rng = Rng.create ~seed:3 in
   let topo = Chain.build sim Chain.default_spec in
   let config =

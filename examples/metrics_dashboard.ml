@@ -19,7 +19,7 @@
 module Table = Aitf_stats.Table
 module Series = Aitf_stats.Series
 module Metrics = Aitf_obs.Metrics
-module Sampler = Aitf_obs.Sampler
+module Sampler = Aitf_engine.Sampler
 module Config = Aitf_core.Config
 module Policy = Aitf_core.Policy
 module Scenarios = Aitf_workload.Scenarios
@@ -39,12 +39,12 @@ let params =
   }
 
 let () =
-  (* One fresh registry per run, attached before the scenario builds its
-     topology so every component self-registers at creation. *)
+  (* One fresh registry per run, in the observer context of the world the
+     scenario builds, so every component self-registers at creation. *)
   let reg = Metrics.create () in
-  Metrics.attach reg;
-  let r = Scenarios.run_chain params in
-  Metrics.detach ();
+  let r =
+    Scenarios.run_chain ~obs:(Aitf_obs.Obs.create ~metrics:reg ()) params
+  in
 
   Printf.printf
     "=== Metrics dashboard: on-off attacker vs the chain topology ===\n\n";

@@ -11,7 +11,7 @@
      dune exec examples/onoff_attack.exe
 *)
 
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 open Aitf_core
 module Scenarios = Aitf_workload.Scenarios
 
@@ -19,7 +19,6 @@ let base_config =
   { (Config.with_timescale Config.default 0.1) with Config.grace = 0.3 }
 
 let run ~label ~shadow_horizon ~traced =
-  if traced then Trace.add_sink (Trace.printing_sink ());
   let config = { base_config with Config.t_filter = shadow_horizon } in
   (* t_filter doubles as the shadow TTL; to cripple the shadow while keeping
      the attacker-side blocking interval comparable we instead shorten the
@@ -35,8 +34,8 @@ let run ~label ~shadow_horizon ~traced =
       td = 0.1;
     }
   in
-  let r = Scenarios.run_chain params in
-  if traced then Trace.clear_sinks ();
+  let trace = if traced then [ Trace.printing_sink () ] else [] in
+  let r = Scenarios.run_chain ~obs:(Aitf_obs.Obs.create ~trace ()) params in
   Printf.printf "%-28s leaked %7.0f of %8.0f bytes (r = %.4f), escalations = %d\n"
     label r.Scenarios.attack_received_bytes r.Scenarios.attack_offered_bytes
     r.Scenarios.r_measured r.Scenarios.escalations;

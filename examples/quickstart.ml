@@ -9,7 +9,7 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 module Rate_meter = Aitf_stats.Rate_meter
 open Aitf_net
 open Aitf_core
@@ -18,9 +18,8 @@ module Traffic = Aitf_workload.Traffic
 
 let () =
   (* Print the protocol timeline as it happens. *)
-  Trace.add_sink (Trace.printing_sink ());
-
-  let sim = Sim.create () in
+  let obs = Aitf_obs.Obs.create ~trace:[ Trace.printing_sink () ] () in
+  let sim = Sim.create ~obs () in
   let rng = Rng.create ~seed:1 in
 
   (* The Figure-1 topology: G_host - G_gw1 - G_gw2 - G_gw3 = B_gw3 - B_gw2 -

@@ -59,7 +59,6 @@ let print_root (r : Span.root) =
 
 let () =
   let collector = Span.create () in
-  Span.attach collector;
   let params =
     {
       Scenarios.default_chain with
@@ -69,8 +68,9 @@ let () =
       attacker_strategy = Policy.Complies;
     }
   in
-  let r = Scenarios.run_chain params in
-  Span.detach ();
+  let r =
+    Scenarios.run_chain ~obs:(Aitf_obs.Obs.create ~spans:collector ()) params
+  in
   print_endline "=== anatomy of a filtering request (two-gateway chain) ===";
   Printf.printf
     "attack suppressed: %.0f of %.0f offered bytes reached the victim\n\n"

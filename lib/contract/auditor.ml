@@ -1,5 +1,5 @@
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 module Counter = Aitf_stats.Counter
 module Message = Aitf_core.Message
 module Wire = Aitf_core.Wire
@@ -78,7 +78,9 @@ let violations t =
   Hashtbl.fold (fun a n acc -> (a, n) :: acc) t.violation_counts []
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
 
-let trace _t ~now fmt = Trace.emitf ~time:now ~category:"auditor" fmt
+let trace t ~now fmt =
+  Trace.emitf (Sim.obs t.sim).Aitf_obs.Obs.trace ~time:now ~category:"auditor"
+    fmt
 
 let violate t ~now (x : expectation) gw kind =
   Counter.incr t.counters ("violation-" ^ violation_name kind);
@@ -305,7 +307,7 @@ let create ?(config = default_config) ~verify ~gateway ~on_flag sim =
            arm ()))
   in
   arm ();
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Obs.with_metrics (Sim.obs t.sim) (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = "auditor." ^ metric in
       register_counter reg (p "receipts_verified") ~unit_:"receipts"

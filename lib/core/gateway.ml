@@ -1,9 +1,10 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 module Counter = Aitf_stats.Counter
 module Spie = Aitf_traceback.Spie
 module Span = Aitf_obs.Span
+module Obs = Aitf_obs.Obs
 open Aitf_net
 open Aitf_filter
 
@@ -89,7 +90,7 @@ type t = {
   counters : Counter.t;
   mutable requests_received : int;
   ttf : Aitf_obs.Metrics.timer option;
-      (* time-to-filter histogram; None when no registry was attached *)
+      (* time-to-filter histogram; None when the world has no registry *)
 }
 
 let node t = t.node
@@ -127,7 +128,10 @@ let active_flows t =
   List.sort (fun (a, _) (b, _) -> Flow_label.compare a b) !acc
 
 let trace t fmt =
-  Trace.emitf ~time:(Sim.now t.sim) ~category:t.node.Node.name fmt
+  Trace.emitf (Sim.obs t.sim).Obs.trace ~time:(Sim.now t.sim)
+    ~category:t.node.Node.name fmt
+
+let spans t = (Sim.obs t.sim).Obs.spans
 
 let in_cone t a = Option.is_some (Lpm.lookup t.client_cone a)
 
@@ -224,7 +228,7 @@ let enable_contracts ?(refresh = 5.0) t ~sign ~verify =
       };
   (* Registered here, not in [create], so pre-contract runs expose exactly
      the pre-contract metric set. *)
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Obs.with_metrics (Sim.obs t.sim) (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = "gateway." ^ t.node.Node.name ^ "." ^ metric in
       register_counter reg (p "receipts_issued") ~unit_:"receipts"
@@ -304,7 +308,7 @@ let start_receipt_stream t cs ~flow ~victim ~corr ~mk ~live =
     let send_one () =
       let r, counter = mk () in
       Counter.incr t.counters counter;
-      Span.event ~node:t.node.Node.name ~corr ~now:(Sim.now t.sim)
+      Span.event (spans t) ~node:t.node.Node.name ~corr ~now:(Sim.now t.sim)
         "receipt-issued";
       send t ~dst:victim (Message.Install_receipt r)
     in
@@ -326,8 +330,8 @@ let start_receipt_stream t cs ~flow ~victim ~corr ~mk ~live =
 let install_temp t (e : flow_entry) =
   let now = Sim.now t.sim in
   (* A re-engage supersedes the previous round's temp-filter span. *)
-  Span.finish ~node:t.node.Node.name ~corr:e.corr ~stage:Span.Temp_filter ~now
-    ();
+  Span.finish (spans t) ~node:t.node.Node.name ~corr:e.corr
+    ~stage:Span.Temp_filter ~now ();
   (match
      filter_install ~requestor:e.requestor ~corr:e.corr t e.flow
        ~duration:t.config.Config.t_tmp
@@ -357,17 +361,18 @@ let install_temp t (e : flow_entry) =
     else Counter.incr t.counters "filter-full");
   (match e.temp_handle with
   | Some _ ->
-    Span.start ~corr:e.corr ~stage:Span.Temp_filter ~node:t.node.Node.name
-      ~now
+    Span.start (spans t) ~corr:e.corr ~stage:Span.Temp_filter
+      ~node:t.node.Node.name ~now
   | None ->
-    Span.event ~node:t.node.Node.name ~corr:e.corr ~now "filter-full");
+    Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
+      ~now "filter-full");
   e.gen <- e.gen + 1;
   e.phase <- Filtering;
   let gen = e.gen in
   ignore
     (Sim.after ~label:"gw-ttmp-expiry" t.sim t.config.Config.t_tmp (fun () ->
          if e.gen = gen then begin
-           Span.finish ~node:t.node.Node.name ~corr:e.corr
+           Span.finish (spans t) ~node:t.node.Node.name ~corr:e.corr
              ~stage:Span.Temp_filter ~now:(Sim.now t.sim) ();
            if e.phase = Filtering then e.phase <- Monitoring
          end))
@@ -385,15 +390,15 @@ let install_long t (e : flow_entry) =
   | Ok _ ->
     Counter.incr t.counters "filter-long";
     let now = Sim.now t.sim in
-    Span.start ~corr:e.corr ~stage:Span.Permanent_filter
+    Span.start (spans t) ~corr:e.corr ~stage:Span.Permanent_filter
       ~node:t.node.Node.name ~now;
     (* A victim-side long filter ends the request's story even when nobody
        closer to the attacker cooperated. No-op if comply already fired. *)
-    Span.complete ~corr:e.corr ~now
+    Span.complete (spans t) ~corr:e.corr ~now
   | Error `Table_full ->
     Counter.incr t.counters "filter-full";
-    Span.event ~node:t.node.Node.name ~corr:e.corr ~now:(Sim.now t.sim)
-      "filter-full"
+    Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
+      ~now:(Sim.now t.sim) "filter-full"
 
 (* Last resort: nobody closer to the attacker will filter. Keep a full-T
    filter ourselves and, when enforcement is on, disconnect the peering
@@ -504,7 +509,7 @@ let rec engage t (e : flow_entry) =
 and escalate t (e : flow_entry) =
   e.round <- e.round + 1;
   Counter.incr t.counters "escalated";
-  Span.event ~node:t.node.Node.name ~corr:e.corr ~now:(Sim.now t.sim)
+  Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr ~now:(Sim.now t.sim)
     "escalate";
   if e.round >= t.config.Config.max_rounds then terminal t e
   else
@@ -569,7 +574,7 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
                if hits > e.sent_hits then
                  if attempt <= t.config.Config.ctrl_retries then begin
                    Counter.incr t.counters "ctrl-retransmit";
-                   Span.event ~node:t.node.Node.name ~corr:e.corr
+                   Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
                      ~now:(Sim.now t.sim) "ctrl-retransmit";
                    e.sent_hits <- hits;
                    resend ();
@@ -577,7 +582,7 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
                  end
                  else begin
                    Counter.incr t.counters "ctrl-gave-up";
-                   Span.event ~node:t.node.Node.name ~corr:e.corr
+                   Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
                      ~now:(Sim.now t.sim) "ctrl-gave-up";
                    gave_up ()
                  end
@@ -616,8 +621,8 @@ let victim_role t (req : Message.request) =
   Counter.incr t.counters "req-victim-role";
   (* The request reached a victim's gateway: the Request leg is over,
      whatever we decide to do with it. No-op on duplicates. *)
-  Span.finish ~corr:req.Message.corr ~stage:Span.Request ~now:(Sim.now t.sim)
-    ();
+  Span.finish (spans t) ~corr:req.Message.corr ~stage:Span.Request
+    ~now:(Sim.now t.sim) ();
   let duplicate_of =
     (* A request for a flow we are already actively filtering is a
        retransmission or a duplicated packet. Recognise it before touching
@@ -638,7 +643,7 @@ let victim_role t (req : Message.request) =
   let bucket = policer_for t req.Message.requestor in
   if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
     Counter.incr t.counters "req-policed";
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr
+    Span.event (spans t) ~node:t.node.Node.name ~corr:req.Message.corr
       ~now:(Sim.now t.sim) "req-policed"
   end
   else if
@@ -712,9 +717,9 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
        around us. *)
     Counter.incr t.counters "filter-full";
     let now = Sim.now t.sim in
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr ~now
+    Span.event (spans t) ~node:t.node.Node.name ~corr:req.Message.corr ~now
       "filter-full";
-    Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
+    Span.finish (spans t) ~node:t.node.Node.name ~corr:req.Message.corr
       ~stage:Span.Verification ~now ()
   | Ok handle ->
     Counter.incr t.counters "filter-long";
@@ -724,11 +729,11 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
     | None -> ());
     (* The Verification span runs receipt -> install, so its duration is
        by construction the time-to-filter observation above. *)
-    Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
+    Span.finish (spans t) ~node:t.node.Node.name ~corr:req.Message.corr
       ~stage:Span.Verification ~now ();
-    Span.start ~corr:req.Message.corr ~stage:Span.Permanent_filter
+    Span.start (spans t) ~corr:req.Message.corr ~stage:Span.Permanent_filter
       ~node:t.node.Node.name ~now;
-    Span.complete ~corr:req.Message.corr ~now;
+    Span.complete (spans t) ~corr:req.Message.corr ~now;
     trace t "blocking %a for %gs" Flow_label.pp req.Message.flow
       req.Message.duration;
     (match (receipts, req.Message.flow.Flow_label.dst) with
@@ -756,7 +761,7 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
       let bucket = client_policer_for t client in
       if Token_bucket.allow bucket ~now:(Sim.now t.sim) then begin
         Counter.incr t.counters "req-to-attacker";
-        Span.start ~corr:req.Message.corr ~stage:Span.Counter_request
+        Span.start (spans t) ~corr:req.Message.corr ~stage:Span.Counter_request
           ~node:t.node.Node.name ~now:(Sim.now t.sim);
         send t ~dst:client
           (Message.Filtering_request
@@ -770,7 +775,7 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
       end
       else begin
         Counter.incr t.counters "req-policed-client";
-        Span.event ~node:t.node.Node.name ~corr:req.Message.corr
+        Span.event (spans t) ~node:t.node.Node.name ~corr:req.Message.corr
           ~now:(Sim.now t.sim) "req-policed-client"
       end;
       (* Compliance monitoring: a client still hitting the filter after the
@@ -794,7 +799,7 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
    so from here the gateway controls what (if anything) really happens. *)
 let comply_byzantine t cs ~received_at (req : Message.request) =
   let finish_span () =
-    Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
+    Span.finish (spans t) ~node:t.node.Node.name ~corr:req.Message.corr
       ~stage:Span.Verification ~now:(Sim.now t.sim) ()
   in
   match cs.cs_behavior with
@@ -923,7 +928,7 @@ let attacker_role t (req : Message.request) =
     let bucket = policer_for t req.Message.requestor in
   if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
     Counter.incr t.counters "req-policed";
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr
+    Span.event (spans t) ~node:t.node.Node.name ~corr:req.Message.corr
       ~now:(Sim.now t.sim) "req-policed"
   end
   else if t.policy = Policy.Unresponsive then
@@ -937,7 +942,7 @@ let attacker_role t (req : Message.request) =
       | Flow_label.Any | Flow_label.Net _ -> false)
   then Counter.incr t.counters "req-not-on-path"
   else if not t.config.Config.handshake then begin
-    Span.start ~corr:req.Message.corr ~stage:Span.Verification
+    Span.start (spans t) ~corr:req.Message.corr ~stage:Span.Verification
       ~node:t.node.Node.name ~now:received_at;
     comply t ~received_at req
   end
@@ -947,7 +952,7 @@ let attacker_role t (req : Message.request) =
       Hashtbl.replace t.verifying req.Message.flow ();
       trace t "verifying %a with %a" Flow_label.pp req.Message.flow Addr.pp
         victim;
-      Span.start ~corr:req.Message.corr ~stage:Span.Verification
+      Span.start (spans t) ~corr:req.Message.corr ~stage:Span.Verification
         ~node:t.node.Node.name ~now:received_at;
       let first_tx = ref true in
       ignore
@@ -955,10 +960,11 @@ let attacker_role t (req : Message.request) =
            ~send:(fun nonce ->
              if !first_tx then begin
                first_tx := false;
-               Span.bind_nonce ~corr:req.Message.corr ~nonce
+               Span.bind_nonce (spans t) ~corr:req.Message.corr ~nonce
              end
              else
-               Span.event ~node:t.node.Node.name ~corr:req.Message.corr
+               Span.event (spans t) ~node:t.node.Node.name
+                 ~corr:req.Message.corr
                  ~now:(Sim.now t.sim) "handshake-retransmit";
              send t ~dst:victim
                (Message.Verification_query { flow = req.Message.flow; nonce }))
@@ -971,10 +977,10 @@ let attacker_role t (req : Message.request) =
              else begin
                Counter.incr t.counters "handshake-fail";
                let now = Sim.now t.sim in
-               Span.event ~node:t.node.Node.name ~corr:req.Message.corr ~now
-                 "handshake-fail";
-               Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
-                 ~stage:Span.Verification ~now ()
+               Span.event (spans t) ~node:t.node.Node.name
+                 ~corr:req.Message.corr ~now "handshake-fail";
+               Span.finish (spans t) ~node:t.node.Node.name
+                 ~corr:req.Message.corr ~stage:Span.Verification ~now ()
              end))
     | Flow_label.Any | Flow_label.Net _ ->
       (* No single victim to query; treat as unverifiable. *)
@@ -988,7 +994,7 @@ let on_request t (req : Message.request) =
     (* With contracts on, an unsigned or tampered request is dropped before
        it can spend anyone's R1 budget or install anything. *)
     Counter.incr t.counters "req-bad-auth";
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr
+    Span.event (spans t) ~node:t.node.Node.name ~corr:req.Message.corr
       ~now:(Sim.now t.sim) "req-bad-auth"
   end
   else
@@ -1072,12 +1078,15 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
   List.iter (fun p -> Lpm.insert cone p ()) clients;
   let prefix = "gateway." ^ node.Node.name in
   let ttf =
-    Aitf_obs.Metrics.timer_if_attached
-      (prefix ^ ".time_to_filter")
-      ~unit_:"s"
-      ~help:
-        "Request receipt at this (attacker-side) gateway to long-filter \
-         install; includes the handshake round-trip"
+    Option.map
+      (fun reg ->
+        Aitf_obs.Metrics.timer reg
+          (prefix ^ ".time_to_filter")
+          ~unit_:"s"
+          ~help:
+            "Request receipt at this (attacker-side) gateway to long-filter \
+             install; includes the handshake round-trip")
+      (Sim.obs sim).Obs.metrics
   in
   let filters =
     Filter_table.create sim ~capacity:config.Config.filter_capacity
@@ -1133,19 +1142,19 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
   (* Close Permanent_filter spans when the filter actually leaves the table
      (explicit removal, expiry, or eviction). Subscribing to the table keeps
      this engine-agnostic: the hybrid engine's fluid mirror watches the same
-     seam, so both engines close the same spans. Only when a collector is
-     attached at build time, so untraced runs pay nothing. *)
-  if Span.enabled () then
+     seam, so both engines close the same spans. Only when the world has a
+     collector, so untraced runs pay nothing. *)
+  if Option.is_some (spans t) then
     Filter_table.subscribe filters (fun change ->
         match change with
         | Filter_table.Removed h -> (
           match Filter_table.corr h with
           | Some corr ->
-            Span.finish ~node:node.Node.name ~corr
+            Span.finish (spans t) ~node:node.Node.name ~corr
               ~stage:Span.Permanent_filter ~now:(Sim.now sim) ()
           | None -> ())
         | Filter_table.Installed _ -> ());
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Obs.with_metrics (Sim.obs sim) (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = prefix ^ "." ^ metric in
       Filter_table.register_metrics t.filters reg ~prefix:(p "filters");

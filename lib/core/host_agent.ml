@@ -1,5 +1,6 @@
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
+module Obs = Aitf_obs.Obs
 module Rate_meter = Aitf_stats.Rate_meter
 module Ppm = Aitf_traceback.Ppm
 module Span = Aitf_obs.Span
@@ -57,7 +58,10 @@ module Victim = struct
   let node t = t.node
 
   let trace t fmt =
-    Trace.emitf ~time:(Sim.now t.sim) ~category:t.node.Node.name fmt
+    Trace.emitf (Sim.obs t.sim).Obs.trace ~time:(Sim.now t.sim)
+      ~category:t.node.Node.name fmt
+
+  let spans t = (Sim.obs t.sim).Obs.spans
 
   let send t ~dst payload =
     Network.originate t.net t.node
@@ -120,7 +124,8 @@ module Victim = struct
                  if attempt <= t.config.Config.ctrl_retries then begin
                    if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
                      t.requests_retransmitted <- t.requests_retransmitted + 1;
-                     Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+                     Span.event (spans t) ~node:t.node.Node.name
+                       ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
                        "victim-retransmit";
                      trace t "re-requesting block of %a (attempt %d)"
                        Flow_label.pp flow (attempt + 1);
@@ -128,7 +133,8 @@ module Victim = struct
                    end
                    else begin
                      t.requests_suppressed <- t.requests_suppressed + 1;
-                     Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+                     Span.event (spans t) ~node:t.node.Node.name
+                       ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
                        "request-suppressed"
                    end;
                    sent_at := Sim.now t.sim;
@@ -136,7 +142,8 @@ module Victim = struct
                  end
                  else begin
                    t.requests_gave_up <- t.requests_gave_up + 1;
-                   Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+                   Span.event (spans t) ~node:t.node.Node.name
+                     ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
                      "victim-gave-up";
                    Hashtbl.remove t.retrying flow
                  end
@@ -151,7 +158,7 @@ module Victim = struct
       Hashtbl.replace t.requested flow
         (Sim.now t.sim +. t.config.Config.t_filter);
       trace t "requesting block of %a" Flow_label.pp flow;
-      Span.start ~corr:(corr_of t flow) ~stage:Span.Request
+      Span.start (spans t) ~corr:(corr_of t flow) ~stage:Span.Request
         ~node:t.node.Node.name ~now:(Sim.now t.sim);
       let payload = request_message t flow path in
       (match (t.request_observer, payload) with
@@ -162,8 +169,8 @@ module Victim = struct
     end
     else begin
       t.requests_suppressed <- t.requests_suppressed + 1;
-      Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
-        "request-suppressed"
+      Span.event (spans t) ~node:t.node.Node.name ~corr:(corr_of t flow)
+        ~now:(Sim.now t.sim) "request-suppressed"
     end
 
   (* PPM reconstructions start as prefixes of the true path (the victim-
@@ -184,7 +191,7 @@ module Victim = struct
   (* Detection fired (first time after Td, or instantly on reappearance):
      assemble the attack path per the configured traceback source. *)
   let on_detect t flow (pkt : Packet.t) =
-    Span.finish ~node:t.node.Node.name ~corr:(corr_of t flow)
+    Span.finish (spans t) ~node:t.node.Node.name ~corr:(corr_of t flow)
       ~stage:Span.Detect ~now:(Sim.now t.sim) ();
     match t.path_source with
     | From_route_record -> send_request t flow pkt.route_record
@@ -225,13 +232,14 @@ module Victim = struct
         Hashtbl.replace t.per_flow label c;
         (* First attack packet of this flow: mint the flow's correlation id
            and open its request tree. Detection starts counting here. *)
-        let corr = Span.mint () in
+        let corr = Obs.mint (Sim.obs t.sim) in
         Hashtbl.replace t.corrs label corr;
-        if Span.enabled () then begin
-          Span.root ~corr
+        if Option.is_some (spans t) then begin
+          Span.root (spans t) ~corr
             ~flow:(Format.asprintf "%a" Flow_label.pp label)
             ~victim:t.node.Node.name ~now;
-          Span.start ~corr ~stage:Span.Detect ~node:t.node.Node.name ~now
+          Span.start (spans t) ~corr ~stage:Span.Detect ~node:t.node.Node.name
+            ~now
         end;
         c
     in
@@ -257,8 +265,8 @@ module Victim = struct
       (* "Do you really not want this flow?" — confirm iff we asked. *)
       if requested_live t flow then begin
         t.queries_answered <- t.queries_answered + 1;
-        Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
-          "victim-confirmed";
+        Span.event (spans t) ~node:t.node.Node.name ~corr:(corr_of t flow)
+          ~now:(Sim.now t.sim) "victim-confirmed";
         send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
       end
     | Message.Install_receipt r -> (
@@ -307,7 +315,7 @@ module Victim = struct
       Some
         (Detection.create sim ~td ~min_report_gap:config.Config.min_report_gap
            ~on_detect:(fun flow pkt -> on_detect t flow pkt));
-    Aitf_obs.Metrics.if_attached (fun reg ->
+    Aitf_obs.Obs.with_metrics (Sim.obs sim) (fun reg ->
         let open Aitf_obs.Metrics in
         let p metric =
           Printf.sprintf "victim.%s.%s" node.Node.name metric
@@ -383,6 +391,7 @@ module Attacker = struct
   let filters t = t.filters
   let requests_received t = t.requests_received
   let flows_stopped t = t.flows_stopped
+  let spans t = (Sim.obs t.sim).Obs.spans
 
   let gate t (pkt : Packet.t) =
     match t.strategy with
@@ -401,7 +410,7 @@ module Attacker = struct
     t.requests_received <- t.requests_received + 1;
     (* The counter-request reached the attacking host — however it responds,
        the Counter_request leg (gateway -> attacker) is over. *)
-    Span.finish ~corr:req.Message.corr ~stage:Span.Counter_request
+    Span.finish (spans t) ~corr:req.Message.corr ~stage:Span.Counter_request
       ~now:(Sim.now t.sim) ();
     match t.strategy with
     | Policy.Ignores -> ()
@@ -440,7 +449,7 @@ module Attacker = struct
         flows_stopped = 0;
       }
     in
-    Aitf_obs.Metrics.if_attached (fun reg ->
+    Aitf_obs.Obs.with_metrics (Sim.obs sim) (fun reg ->
         let open Aitf_obs.Metrics in
         let p metric =
           Printf.sprintf "attacker.%s.%s" node.Node.name metric

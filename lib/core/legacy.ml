@@ -1,5 +1,7 @@
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
+module Span = Aitf_obs.Span
+module Obs = Aitf_obs.Obs
 open Aitf_net
 open Aitf_filter
 
@@ -21,6 +23,7 @@ type t = {
 let protects t a = Option.is_some (Lpm.lookup t.protected_prefixes a)
 
 let node t = Gateway.node t.gateway
+let spans t = (Sim.obs t.sim).Obs.spans
 
 let send t ~dst payload =
   Network.originate t.net (node t)
@@ -47,17 +50,18 @@ let on_detect t flow (pkt : Packet.t) =
       match Hashtbl.find_opt t.corrs flow with
       | Some c -> c
       | None ->
-        let c = Aitf_obs.Span.mint () in
+        let c = Obs.mint (Sim.obs t.sim) in
         Hashtbl.replace t.corrs flow c;
-        if Aitf_obs.Span.enabled () then
-          Aitf_obs.Span.root ~corr:c
+        if Option.is_some (spans t) then
+          Span.root (spans t) ~corr:c
             ~flow:(Format.asprintf "%a" Flow_label.pp flow)
             ~victim:(node t).Node.name ~now:(Sim.now t.sim);
         c
     in
-    Trace.emitf ~time:(Sim.now t.sim) ~category:(node t).Node.name
+    Trace.emitf (Sim.obs t.sim).Obs.trace ~time:(Sim.now t.sim)
+      ~category:(node t).Node.name
       "requesting block of %a on behalf of a legacy host" Flow_label.pp flow;
-    Aitf_obs.Span.start ~corr ~stage:Aitf_obs.Span.Request
+    Span.start (spans t) ~corr ~stage:Span.Request
       ~node:(node t).Node.name ~now:(Sim.now t.sim);
     send t ~dst:(node t).Node.addr
       (Message.Filtering_request

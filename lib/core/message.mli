@@ -24,7 +24,7 @@ type request = {
   hops : int;  (** escalation round: which path entry to contact *)
   requestor : Addr.t;  (** who originated this round's request *)
   corr : int;
-      (** correlation id minted at the victim ({!Aitf_obs.Span.mint}) and
+      (** correlation id minted at the victim ({!Aitf_obs.Obs.mint}) and
           carried through every round of the exchange, so causal tracing
           can stitch the distributed stages into one span tree; [0] means
           untraceable (legacy or forged requests). Never consulted by

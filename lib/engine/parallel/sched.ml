@@ -1,4 +1,8 @@
 module Sim = Aitf_engine.Sim
+module Obs = Aitf_obs.Obs
+module Span = Aitf_obs.Span
+module Flight = Aitf_obs.Flight
+module Profile = Aitf_obs.Profile
 
 (* A cross-shard message: a closure to execute in the destination shard's
    world at [m_time]. [m_src]/[m_seq] identify the sender and its send
@@ -59,7 +63,6 @@ type t = {
   sync : sync;
   mutable running : bool;
   mutable clock : unit -> float;
-  mutable worker_init : shard:int -> unit;
   (* stats *)
   mutable s_windows : int;
   mutable s_global : int;
@@ -83,12 +86,51 @@ let ctx_key : (int * Sim.t) option Domain.DLS.key =
 let default_clock = ref Sys.time
 let set_default_clock f = default_clock := f
 
-let create ~shards () =
+(* How observability splits across shards. Each shard world gets a child
+   of the parent's context: the parent's registry (registration is
+   mutex-protected) and trace sinks; a fresh span collector in orphan mode
+   (roots for ids minted in other shards materialise as placeholders); a
+   ring stamped with the shard id, which suffixes its auto-dump path so
+   concurrent SLO dumps never share a file; a fresh profiler, so
+   concurrent shards never interleave buckets — each only when the parent
+   has one. The id range is disjoint per shard and always set, since
+   minting is unconditional protocol work, and stays inside the 32-bit
+   wire encoding. [merge_obs] folds the children back. *)
+let child_obs (parent : Obs.t) shard =
+  let spans =
+    Option.map
+      (fun _ ->
+        let c = Span.create () in
+        Span.set_allow_orphans c true;
+        c)
+      parent.Obs.spans
+  in
+  let flight =
+    Option.map
+      (fun m ->
+        let f = Flight.create ~capacity:(Flight.capacity m) in
+        Flight.set_shard f shard;
+        Flight.set_dump_path f (Flight.dump_path m);
+        f)
+      parent.Obs.flight
+  in
+  let profile = Option.map (fun _ -> Profile.create ()) parent.Obs.profile in
+  Obs.create ?metrics:parent.Obs.metrics ?spans ?flight ?profile
+    ~trace:parent.Obs.trace ~mint_base:((shard + 1) lsl 24) ()
+
+let create ?(obs = Obs.create ()) ~shards () =
   if shards < 1 then
     invalid_arg
       (Printf.sprintf "Sched.create: shards must be >= 1 (got %d)" shards);
-  let sims = Array.init shards (fun _ -> Sim.create ()) in
-  let global_sim = if shards = 1 then sims.(0) else Sim.create () in
+  let sims =
+    if shards = 1 then [| Sim.create ~obs () |]
+    else Array.init shards (fun i -> Sim.create ~obs:(child_obs obs i) ())
+  in
+  (* Components of the global world only ever see ids minted in shard
+     worlds, so the parent collector runs in orphan mode too. *)
+  if shards > 1 then
+    Option.iter (fun m -> Span.set_allow_orphans m true) obs.Obs.spans;
+  let global_sim = if shards = 1 then sims.(0) else Sim.create ~obs () in
   {
     n = shards;
     sims;
@@ -115,7 +157,6 @@ let create ~shards () =
       };
     running = false;
     clock = !default_clock;
-    worker_init = (fun ~shard:_ -> ());
     s_windows = 0;
     s_global = 0;
     s_messages = 0;
@@ -133,10 +174,6 @@ let shard_sims t = t.sims
 let global t = t.global_sim
 let lookahead t = t.min_lookahead
 let set_clock t clock = t.clock <- clock
-
-let set_worker_init t f =
-  if t.running then invalid_arg "Sched.set_worker_init: already running";
-  t.worker_init <- f
 
 let set_window_log t ~max =
   if max < 0 then invalid_arg "Sched.set_window_log: max must be >= 0";
@@ -255,16 +292,6 @@ let drain_deferred t =
 let worker t i () =
   Domain.DLS.set ctx_key (Some (i, t.sims.(i)));
   let sync = t.sync in
-  (* Per-domain setup installed by the scenario (span collector binding,
-     mint stride, ...). A failure here must not kill the worker — the
-     barrier protocol needs every worker looping — so it is parked in
-     [sync.failure] and re-raised on the coordinator at the first
-     window. *)
-  (try t.worker_init ~shard:i
-   with e ->
-     Mutex.lock sync.m;
-     if sync.failure = None then sync.failure <- Some e;
-     Mutex.unlock sync.m);
   let my_gen = ref 0 in
   let rec loop () =
     Mutex.lock sync.m;
@@ -398,13 +425,35 @@ let run_parallel ?until t =
     Array.iter (fun sim -> Sim.advance_to sim u) t.sims;
     Sim.advance_to t.global_sim u
 
+(* Reunite the shard observers with the parent's: spans re-keyed into
+   canonical order, flight records interleaved by (time, shard, seq),
+   profiler buckets summed. *)
+let merge_obs t =
+  let parent = Sim.obs t.global_sim in
+  let kids f =
+    List.filter_map (fun s -> f (Sim.obs s)) (Array.to_list t.sims)
+  in
+  Option.iter
+    (fun m -> Span.merge_into m (kids (fun o -> o.Obs.spans)))
+    parent.Obs.spans;
+  Option.iter
+    (fun m -> Flight.merge_into m (kids (fun o -> o.Obs.flight)))
+    parent.Obs.flight;
+  Option.iter
+    (fun m -> Profile.merge_into m (kids (fun o -> o.Obs.profile)))
+    parent.Obs.profile
+
 let run ?until t =
   if t.running then invalid_arg "Sched.run: already running";
   t.running <- true;
   Fun.protect
     ~finally:(fun () -> t.running <- false)
     (fun () ->
-      if t.n = 1 then Sim.run ?until t.global_sim else run_parallel ?until t)
+      if t.n = 1 then Sim.run ?until t.global_sim
+      else begin
+        run_parallel ?until t;
+        merge_obs t
+      end)
 
 let events_processed t =
   if t.n = 1 then Sim.events_processed t.global_sim

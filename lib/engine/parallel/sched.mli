@@ -41,9 +41,16 @@ module Sim = Aitf_engine.Sim
 
 type t
 
-val create : shards:int -> unit -> t
+val create : ?obs:Aitf_obs.Obs.t -> shards:int -> unit -> t
 (** A scheduler with [shards] shard worlds (plus the global world when
-    [shards > 1]).
+    [shards > 1]). The global world is observed by [obs] (default: an
+    empty context); with one shard it is the only world. With more, each
+    shard world gets a child context of [obs]: its own span collector
+    (orphans allowed), correlation ids from [(shard + 1) lsl 24], its own
+    flight ring stamped with the shard id and [obs]'s dump path and its
+    own profiler — each only when [obs] has one — sharing [obs]'s metrics
+    registry and trace sinks. {!run} merges the children back into [obs]
+    when it returns, so run a sharded scheduler once.
     @raise Invalid_argument if [shards < 1]. *)
 
 val shards : t -> int
@@ -93,7 +100,8 @@ val run : ?until:float -> t -> unit
     no event at [<= until] remains anywhere and advances all clocks to
     [until]. Worker domains are spawned on entry and joined before
     returning (also on exceptions, which are re-raised on the caller's
-    thread). *)
+    thread). A sharded run then merges each shard world's observers into
+    the global world's (see {!create}). *)
 
 val events_processed : t -> int
 (** Total events executed across all worlds. *)
@@ -101,15 +109,6 @@ val events_processed : t -> int
 val shard_events : t -> int array
 (** Events executed per shard world (index = shard id), excluding the
     global world. *)
-
-val set_worker_init : t -> (shard:int -> unit) -> unit
-(** Hook run once by each worker domain at spawn, after it has marked
-    itself as executing [shard] — the seam for per-domain setup that
-    must happen on the worker itself (e.g. [Span.bind_domain]: installing
-    the shard's span collector and correlation-id stride in the worker's
-    domain-local storage). Exceptions raised by the hook are re-raised on
-    the coordinator at the first window.
-    @raise Invalid_argument if called while {!run} is active. *)
 
 type window_record = {
   w_horizon : float;  (** virtual-time horizon the window ran to *)

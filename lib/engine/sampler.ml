@@ -1,5 +1,4 @@
-module Sim = Aitf_engine.Sim
-module Timer = Aitf_engine.Timer
+module Metrics = Aitf_obs.Metrics
 module Series = Aitf_stats.Series
 
 type t = {

@@ -1,6 +1,6 @@
 (** Periodic metric sampling on the virtual clock.
 
-    A sampler ticks on an {!Aitf_engine.Timer.periodic} timer and appends
+    A sampler ticks on a {!Timer.periodic} timer and appends
     every registered scalar metric (counters and gauges; a timer
     contributes its sample count as [<name>.count]) to one
     {!Aitf_stats.Series} per metric — the time-series half of a run
@@ -26,7 +26,7 @@
 type t
 
 val start :
-  ?interval:float -> ?profile:bool -> Aitf_engine.Sim.t -> Metrics.t -> t
+  ?interval:float -> ?profile:bool -> Sim.t -> Aitf_obs.Metrics.t -> t
 (** Start ticking every [interval] seconds (default 0.1 — see
     docs/OBSERVABILITY.md for how to align the interval with the
     protocol timescales; it must resolve Ttmp, not T). First tick at

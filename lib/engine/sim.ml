@@ -1,3 +1,5 @@
+module Obs = Aitf_obs.Obs
+
 type handle = Event_queue.handle
 
 type t = {
@@ -6,36 +8,38 @@ type t = {
   mutable running : bool;
   mutable stop_requested : bool;
   mutable events_processed : int;
-  mutable profile_hook : (string option -> float -> int -> unit) option;
+  profile_hook : (string option -> float -> int -> unit) option;
+  obs : Obs.t;
 }
 
-(* Opt-in profiler hook (installed by [Aitf_obs.Profile], which sits above
-   this library in the dependency graph). The hook is per-instance so that
-   several worlds in one process — matrix cells, the shards of a parallel
-   run — can't interleave their buckets; the default slot seeds every world
-   created while it is set, which is how [Profile.attach] keeps hooking
-   scenario-created sims it never sees. Receives the event's category
-   label, its wall-clock CPU cost in seconds, and the queue depth after it
-   ran. One branch per event when unset. *)
+(* Per-event profiler hook, fixed at creation: the world's own profiler
+   when its observer context has one, else the process-wide default (the
+   one global observer slot, used by external harnesses that must reach
+   every world a scenario creates). Receives the event's category label,
+   its wall-clock CPU cost in seconds, and the queue depth after it ran.
+   One branch per event when unset. *)
 let default_profile_hook : (string option -> float -> int -> unit) option ref
     =
   ref None
 
 let set_default_profile_hook f = default_profile_hook := Some f
 let clear_default_profile_hook () = default_profile_hook := None
-let set_profile_hook sim f = sim.profile_hook <- Some f
-let clear_profile_hook sim = sim.profile_hook <- None
 
-let create () =
+let create ?(obs = Obs.create ()) () =
   {
     queue = Event_queue.create ();
     now = 0.0;
     running = false;
     stop_requested = false;
     events_processed = 0;
-    profile_hook = !default_profile_hook;
+    profile_hook =
+      (match obs.Obs.profile with
+      | Some p -> Some (Aitf_obs.Profile.probe p)
+      | None -> !default_profile_hook);
+    obs;
   }
 
+let obs sim = sim.obs
 let now sim = sim.now
 
 let at ?label sim time f =

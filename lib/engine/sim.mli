@@ -12,15 +12,20 @@ type t
 type handle = Event_queue.handle
 (** Cancellation token for a scheduled event. *)
 
-val create : unit -> t
-(** A fresh world at time [0.0] with no pending events. *)
+val create : ?obs:Aitf_obs.Obs.t -> unit -> t
+(** A fresh world at time [0.0] with no pending events, observed by [obs]
+    (default: a fresh, empty context). *)
+
+val obs : t -> Aitf_obs.Obs.t
+(** The world's observer context: how components reach the metrics
+    registry, span collector, flight recorder and trace sinks. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
 
 val at : ?label:string -> t -> float -> (unit -> unit) -> handle
 (** [at sim time f] schedules [f] at absolute [time]. [?label] names the
-    event's category for the opt-in profiler (see {!set_profile_hook}); it
+    event's category for the opt-in profiler ([Aitf_obs.Profile]); it
     never affects ordering or execution.
     @raise Invalid_argument if [time] is in the past or not finite. *)
 
@@ -80,25 +85,16 @@ val total_cancelled : t -> int
 (** Monotone count of cancellations that took effect; with
     {!total_scheduled} this yields the cancelled fraction. *)
 
-val set_profile_hook : t -> (string option -> float -> int -> unit) -> unit
-(** Install this world's per-event profiler probe: after each event
-    executes, the probe receives its category label, its wall-clock CPU
-    cost in seconds and the live queue depth. The hook is per-instance so
-    that two engines in one process (matrix cells, parallel shards) cannot
-    interleave buckets. One branch per event when no probe is installed.
-    Timing uses the process clock, so anything derived from it is
-    nondeterministic — the probe must never feed back into simulation
-    state. *)
-
-val clear_profile_hook : t -> unit
-(** Remove this world's profiler probe (used between runs and tests). *)
-
 val set_default_profile_hook : (string option -> float -> int -> unit) -> unit
-(** Install the probe inherited by every world subsequently created
-    ({!create} copies the default into the instance slot). This is how
-    [Profile.attach] hooks sims that scenarios create internally. Worlds
-    that already exist are unaffected. *)
+(** Install the per-event probe inherited by every world subsequently
+    created without a profiler in its observer context: after each event
+    executes, the probe receives its category label, its wall-clock CPU
+    cost in seconds and the live queue depth. This is the one
+    process-global observer slot, for harnesses that must reach worlds
+    scenarios create internally; it is read at {!create}, so existing
+    worlds are unaffected. Timing uses the process clock, so anything
+    derived from it is nondeterministic — the probe must never feed back
+    into simulation state. *)
 
 val clear_default_profile_hook : unit -> unit
-(** Stop seeding new worlds with a probe. Existing instances keep theirs
-    until {!clear_profile_hook}. *)
+(** Stop seeding new worlds with the default probe. *)

@@ -63,8 +63,8 @@ val inject :
   t
 (** Interpose [models] on the link's delivery path. Packets failing [only]
     (default: all pass) bypass the models entirely. Registers
-    [fault.<link>.drops_injected / dups_injected / delayed] counters when a
-    metrics registry is attached.
+    [fault.<link>.drops_injected / dups_injected / delayed] counters when
+    [sim]'s world has a metrics registry.
     @raise Invalid_argument on a probability outside [0,1], negative
     jitter, or a link with no deliver callback installed yet. *)
 
@@ -90,7 +90,7 @@ val flap :
   flapper
 (** Every [period] seconds starting at [start], take all [links] down for
     [down_for] seconds (e.g. both directions of a circuit). Registers a
-    [fault.<link>.flaps] counter when a registry is attached.
+    [fault.<link>.flaps] counter when the world has a registry.
     @raise Invalid_argument unless [period > down_for]. *)
 
 val stop_flapping : flapper -> unit

@@ -98,7 +98,8 @@ let eviction_candidate ?sparing t =
 let note_eviction t reason h =
   match Filter_table.corr h with
   | Some corr ->
-    Aitf_obs.Span.root_event ~corr ~now:(Sim.now t.sim) reason
+    Aitf_obs.Span.root_event (Sim.obs t.sim).Aitf_obs.Obs.spans ~corr
+      ~now:(Sim.now t.sim) reason
   | None -> ()
 
 let priority_evict ?sparing t =

@@ -273,18 +273,20 @@ let src_range agg sel =
    span tree so hybrid traces show the mirror kept pace. The spans
    themselves are closed by the gateway's own table subscription — the
    same seam — so both engines close identical span sets. Timestamped on
-   the table's own clock (the shard clock in sharded runs) and recorded
-   from the subscribing context, never from a deferred replay — the span
-   is open and the instant exact right where the change fires. *)
-let annotate_change ~now change =
+   the table's own clock (the shard clock in sharded runs) into the
+   table's world's collector, never from a deferred replay — the span is
+   open and the instant exact right where the change fires. *)
+let annotate_change table change =
   let h =
     match change with
     | Filter_table.Installed h | Filter_table.Removed h -> h
   in
-  if Aitf_obs.Span.enabled () then
+  let sim = Filter_table.sim table in
+  let spans = (Sim.obs sim).Aitf_obs.Obs.spans in
+  if Option.is_some spans then
     match Filter_table.corr h with
     | Some corr ->
-      Aitf_obs.Span.root_event ~corr ~now
+      Aitf_obs.Span.root_event spans ~corr ~now:(Sim.now sim)
         (match change with
         | Filter_table.Installed _ -> "fluid-mirror-install"
         | Filter_table.Removed _ -> "fluid-mirror-remove")
@@ -319,16 +321,15 @@ let attach_table ?defer t ~node table =
      fluid state is shared: the mirror update is deferred to the barrier
      (where [on_change]'s reeval re-derives ground truth from the table,
      so late application is safe and idempotent). The span annotation is
-     NOT deferred — it must record in the subscriber's context at the
-     table clock's exact instant, or traces would depend on the shard
-     layout. *)
+     NOT deferred — it must record in the table's world at the table
+     clock's exact instant, or traces would depend on the shard layout. *)
   let mirror =
     match defer with
     | None -> mirror
     | Some d -> fun ev -> d (fun () -> mirror ev)
   in
   Filter_table.subscribe table (fun ev ->
-      annotate_change ~now:(Sim.now (Filter_table.sim table)) ev;
+      annotate_change table ev;
       mirror ev)
 
 (* --- construction --------------------------------------------------------- *)
@@ -361,7 +362,7 @@ let create ?(epoch = 0.1) net =
     ignore (Sim.after ~label:"fluid-epoch" t.sim t.epoch tick)
   in
   ignore (Sim.after ~label:"fluid-epoch" t.sim t.epoch tick);
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Obs.with_metrics (Sim.obs t.sim) (fun reg ->
       let open Aitf_obs.Metrics in
       let rate_of ~attack () =
         List.fold_left

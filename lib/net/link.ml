@@ -79,7 +79,7 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
       remote = None;
     }
   in
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Obs.with_metrics (Sim.obs sim) (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = Printf.sprintf "link.%s.%s" name metric in
       register_counter reg (p "tx_packets") ~unit_:"packets"
@@ -119,11 +119,12 @@ let wrap_deliver t f =
 let drop t reason (pkt : Packet.t) =
   t.dropped_packets <- t.dropped_packets + 1;
   t.dropped_bytes <- t.dropped_bytes + pkt.size;
-  if Aitf_obs.Flight.enabled () then
-    Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
-      ~link:t.name
-      ~kind:(Aitf_obs.Flight.Drop reason)
-      ~size:pkt.size ~queue_depth:t.queued_bytes ()
+  match (Sim.obs t.sim).Aitf_obs.Obs.flight with
+  | None -> ()
+  | Some f ->
+    Aitf_obs.Flight.note f ~time:(Sim.now t.sim) ~node:t.tx_node ~link:t.name
+      ~kind:(Aitf_obs.Flight.Drop reason) ~size:pkt.size
+      ~queue_depth:t.queued_bytes
 
 let red_weight = 0.02
 
@@ -167,9 +168,14 @@ let rec start_transmission t =
     t.busy <- true;
     t.idle_since <- None;
     t.queued_bytes <- t.queued_bytes - pkt.size;
-    Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
-      ~link:t.name ~kind:Aitf_obs.Flight.Dequeue ~size:pkt.size
-      ~queue_depth:t.queued_bytes ();
+    (* Match before calling: a world without a recorder allocates nothing
+       here (no boxed time, no option). *)
+    (match (Sim.obs t.sim).Aitf_obs.Obs.flight with
+    | None -> ()
+    | Some f ->
+      Aitf_obs.Flight.note f ~time:(Sim.now t.sim) ~node:t.tx_node
+        ~link:t.name ~kind:Aitf_obs.Flight.Dequeue ~size:pkt.size
+        ~queue_depth:t.queued_bytes);
     let serialization = float_of_int (pkt.size * 8) /. t.bandwidth in
     (* Under fluid saturation the queue is full in steady state, so a packet
        that does get through waits a full queue's worth of serialisation. *)
@@ -255,9 +261,12 @@ let send t pkt =
     else begin
       Queue.add pkt t.queue;
       t.queued_bytes <- t.queued_bytes + pkt.size;
-      Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
-        ~link:t.name ~kind:Aitf_obs.Flight.Enqueue ~size:pkt.size
-        ~queue_depth:t.queued_bytes ();
+      (match (Sim.obs t.sim).Aitf_obs.Obs.flight with
+      | None -> ()
+      | Some f ->
+        Aitf_obs.Flight.note f ~time:(Sim.now t.sim) ~node:t.tx_node
+          ~link:t.name ~kind:Aitf_obs.Flight.Enqueue ~size:pkt.size
+          ~queue_depth:t.queued_bytes);
       if not t.busy then start_transmission t
     end
   end

@@ -70,7 +70,11 @@ let add_node t ~name ~addr ~as_id kind =
     invalid_arg
       (Printf.sprintf "Network.add_node: duplicate address %s"
          (Addr.to_string addr));
-  let node = Node.make ~id:t.next_id ~name ~addr ~as_id kind in
+  let node =
+    Node.make
+      ?metrics:(Sim.obs (sim_of_as t as_id)).Aitf_obs.Obs.metrics
+      ~id:t.next_id ~name ~addr ~as_id kind
+  in
   t.next_id <- t.next_id + 1;
   t.nodes_rev <- node :: t.nodes_rev;
   Hashtbl.add t.by_id node.id node;

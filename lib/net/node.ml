@@ -22,7 +22,7 @@ type t = {
   drops : (string, int) Hashtbl.t;
 }
 
-let make ~id ~name ~addr ~as_id kind =
+let make ?metrics ~id ~name ~addr ~as_id kind =
   let t =
     {
       id;
@@ -42,7 +42,8 @@ let make ~id ~name ~addr ~as_id kind =
       drops = Hashtbl.create 8;
     }
   in
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Option.iter
+    (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = Printf.sprintf "node.%s.%s" name metric in
       register_counter reg (p "rx_packets") ~unit_:"packets"
@@ -58,7 +59,8 @@ let make ~id ~name ~addr ~as_id kind =
           float_of_int t.delivered_packets);
       register_counter reg (p "drops") ~unit_:"packets"
         ~help:"Packets dropped at this node, all reasons" (fun () ->
-          float_of_int (Hashtbl.fold (fun _ n acc -> acc + n) t.drops 0)));
+          float_of_int (Hashtbl.fold (fun _ n acc -> acc + n) t.drops 0)))
+    metrics;
   t
 
 let add_hook t h = t.hooks <- h :: t.hooks

@@ -44,9 +44,17 @@ type t = {
   drops : (string, int) Hashtbl.t;
 }
 
-val make : id:int -> name:string -> addr:Addr.t -> as_id:int -> kind -> t
+val make :
+  ?metrics:Aitf_obs.Metrics.t ->
+  id:int ->
+  name:string ->
+  addr:Addr.t ->
+  as_id:int ->
+  kind ->
+  t
 (** A fresh node advertising its own /32 globally, delivering locally to a
-    silent sink, with no hooks. *)
+    silent sink, with no hooks. Its counters register in [metrics] when
+    given. *)
 
 val add_hook : t -> (t -> Packet.t -> hook_verdict) -> unit
 (** Prepend a forwarding hook; hooks run in reverse order of addition and

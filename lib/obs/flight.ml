@@ -33,42 +33,10 @@ let shard t = t.shard
 let set_dump_path t p = t.dump_path <- p
 let dump_path t = t.dump_path
 
-let current : t option ref = ref None
-
-(* Per-scheduler-instance overrides, keyed by physical sim identity. Kept
-   as a tiny assoc list: a process holds at most a handful of attached
-   recorders (one per shard), and [note] only scans it when non-empty. *)
-let overrides : (Aitf_engine.Sim.t * t) list ref = ref []
-
-let attach t = current := Some t
-let detach () = current := None
-
-let attach_to t sim =
-  overrides := (sim, t) :: List.filter (fun (s, _) -> s != sim) !overrides
-
-let detach_from sim =
-  overrides := List.filter (fun (s, _) -> s != sim) !overrides
-
-let attached () = !current
-let enabled () = Option.is_some !current || !overrides <> []
-
-let write t ~time ~node ~link ~kind ~size ~queue_depth =
+let note t ~time ~node ~link ~kind ~size ~queue_depth =
   t.buf.(t.next) <- Some { time; node; link; kind; size; queue_depth };
   t.next <- (t.next + 1) mod Array.length t.buf;
   t.total <- t.total + 1
-
-let note ?sim ~time ~node ~link ~kind ~size ~queue_depth () =
-  let target =
-    match sim with
-    | Some s when !overrides <> [] -> (
-      match List.find_opt (fun (s', _) -> s' == s) !overrides with
-      | Some (_, t) -> Some t
-      | None -> !current)
-    | _ -> !current
-  in
-  match target with
-  | None -> ()
-  | Some t -> write t ~time ~node ~link ~kind ~size ~queue_depth
 
 let records t =
   let n = Array.length t.buf in
@@ -112,7 +80,7 @@ let merge_into master rings =
   let written = List.length tagged in
   List.iter
     (fun (_, _, _, r) ->
-      write master ~time:r.time ~node:r.node ~link:r.link ~kind:r.kind
+      note master ~time:r.time ~node:r.node ~link:r.link ~kind:r.kind
         ~size:r.size ~queue_depth:r.queue_depth)
     tagged;
   let seen = List.fold_left (fun acc t -> acc + t.total) 0 rings in

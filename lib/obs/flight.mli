@@ -8,9 +8,10 @@
     a whole run — and is dumped on demand or automatically when a span
     breaches its latency SLO (see {!Span.set_slo}).
 
-    Attachment is process-global and off by default, mirroring
-    {!Metrics}: the network layer's recording sites cost one branch when
-    no recorder is attached. Recording never perturbs the run. *)
+    A recorder belongs to one simulated world, through its {!Obs.t}
+    ([Obs.create ~flight]), and is off by default, mirroring {!Metrics}:
+    the network layer's recording sites cost one branch and no allocation
+    when the world has no recorder. Recording never perturbs the run. *)
 
 type kind =
   | Enqueue  (** packet accepted into the link queue *)
@@ -47,37 +48,18 @@ val set_dump_path : t -> string option -> unit
 
 val dump_path : t -> string option
 
-(** {1 Attachment} *)
-
-val attach : t -> unit
-(** Process-global default recorder, as before. *)
-
-val detach : unit -> unit
-
-val attach_to : t -> Aitf_engine.Sim.t -> unit
-(** Per-scheduler-instance recorder: records noted with [?sim] equal to
-    this world land here instead of the global default, so two engines in
-    one process (matrix cells, parallel shards) keep separate rings. *)
-
-val detach_from : Aitf_engine.Sim.t -> unit
-
-val attached : unit -> t option
-val enabled : unit -> bool
-
 (** {1 Recording} *)
 
 val note :
-  ?sim:Aitf_engine.Sim.t ->
+  t ->
   time:float ->
   node:string ->
   link:string ->
   kind:kind ->
   size:int ->
   queue_depth:int ->
-  unit ->
   unit
-(** Append a record to the recorder for [?sim] (falling back to the
-    global default); one branch when none is attached. *)
+(** Append a record, overwriting the oldest once the ring is full. *)
 
 (** {1 Reading back} *)
 

@@ -91,22 +91,3 @@ let unit_of t name =
 
 let help_of t name =
   Option.map (fun m -> m.m_help) (locked t (fun () -> Hashtbl.find_opt t.tbl name))
-
-(* --- global attachment ------------------------------------------------------ *)
-
-let current : t option ref = ref None
-
-let attach t = current := Some t
-let detach () = current := None
-let attached () = !current
-
-let with_attached t f =
-  attach t;
-  Fun.protect ~finally:detach f
-
-let if_attached f = match !current with None -> () | Some t -> f t
-
-let timer_if_attached ?unit_ ?help ?bounds name =
-  match !current with
-  | None -> None
-  | Some t -> Some (timer t ?unit_ ?help ?bounds name)

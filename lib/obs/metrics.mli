@@ -8,9 +8,9 @@
     instrumented hot path costs nothing beyond the work it was already
     doing. Timers are the one push-based kind (value distributions such as
     time-to-filter have no state to read back); components hold a
-    [timer option] that is [None] when no registry was attached at
-    creation, so a disabled observation costs one branch — mirroring
-    {!Aitf_engine.Trace}'s zero-sink design.
+    [timer option] that is [None] when their world has no registry, so a
+    disabled observation costs one branch — mirroring {!Trace}'s
+    zero-sink design.
 
     {b Naming.} Dot-separated, instance-qualified:
     [<layer>.<instance>.<metric>], e.g. [gateway.B_gw1.filters.occupancy].
@@ -19,9 +19,10 @@
     so replaying a scenario against the same registry would collide.
 
     {b Attachment.} Like tracing, instrumentation is off by default. A
-    scenario attaches a registry ({!attach}) before building its world;
-    every component created while one is attached self-registers. Detach
-    when the run's report has been taken. *)
+    registry reaches a simulated world through that world's {!Obs.t}
+    ([Obs.create ~metrics], handed to [Sim.create] or a scenario driver's
+    [?obs]); every component built on a world with a registry
+    self-registers into it. *)
 
 type t
 
@@ -74,28 +75,3 @@ val snapshot : t -> (string * value) list
 
 val unit_of : t -> string -> string option
 val help_of : t -> string -> string option
-
-(** {1 Process-global attachment}
-
-    One optional registry, consulted by component constructors. *)
-
-val attach : t -> unit
-(** Make [t] the attached registry (replacing any previous one). *)
-
-val detach : unit -> unit
-
-val attached : unit -> t option
-
-val with_attached : t -> (unit -> 'a) -> 'a
-(** [with_attached t f] attaches [t], runs [f] and detaches again even when
-    [f] raises — the exception-safe form every scenario driver should use:
-    a raise mid-build must not leave the registry attached to poison the
-    next run in the same process. *)
-
-val if_attached : (t -> unit) -> unit
-(** Run the registration block iff a registry is attached. *)
-
-val timer_if_attached :
-  ?unit_:string -> ?help:string -> ?bounds:float list -> string -> timer option
-(** [Some (timer reg name)] against the attached registry, else [None] —
-    what a component stores for its push-side observations. *)

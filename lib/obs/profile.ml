@@ -1,5 +1,3 @@
-module Sim = Aitf_engine.Sim
-
 type bucket = { mutable n : int; mutable secs : float }
 
 type t = {
@@ -30,23 +28,7 @@ let probe t label secs pending =
   t.seconds <- t.seconds +. secs;
   if pending > t.peak_pending then t.peak_pending <- pending
 
-let current : t option ref = ref None
-
-let attach t =
-  current := Some t;
-  Sim.set_default_profile_hook (probe t)
-
-let detach () =
-  current := None;
-  Sim.clear_default_profile_hook ()
-
-let attach_to t sim = Sim.set_profile_hook sim (probe t)
-let detach_from sim = Sim.clear_profile_hook sim
-let attached () = !current
-let enabled () = Option.is_some !current
-
-let merge ts =
-  let m = create () in
+let merge_into m ts =
   List.iter
     (fun t ->
       Hashtbl.iter
@@ -65,8 +47,7 @@ let merge ts =
       m.events <- m.events + t.events;
       m.seconds <- m.seconds +. t.seconds;
       if t.peak_pending > m.peak_pending then m.peak_pending <- t.peak_pending)
-    ts;
-  m
+    ts
 
 let events t = t.events
 let seconds t = t.seconds

@@ -1,50 +1,35 @@
 (** Opt-in engine profiler: wall-clock accounting per event category.
 
-    Installs the {!Aitf_engine.Sim.set_profile_hook} probe and buckets
-    the wall-clock CPU cost of every executed event by its scheduling
-    label ([Sim.at ~label] / [Sim.after ~label]; unlabelled events land
-    in ["other"]), while tracking the peak live event-queue depth it
-    observed. Together with the queue's own scheduled/cancelled totals
-    this attributes a run's hot path: which event category burned the
-    time, and how deep the queue got.
+    A world whose {!Obs.t} carries a profiler installs {!probe} as its
+    per-event hook and buckets the wall-clock CPU cost of every executed
+    event by its scheduling label ([Sim.at ~label] / [Sim.after ~label];
+    unlabelled events land in ["other"]), while tracking the peak live
+    event-queue depth it observed. Together with the queue's own
+    scheduled/cancelled totals this attributes a run's hot path: which
+    event category burned the time, and how deep the queue got.
 
     Everything here is wall-clock and therefore {e nondeterministic}; the
-    profiler only reads simulation state (one branch per event when not
-    attached) and never feeds back into it, so a profiled run executes
-    the same event sequence as an unprofiled one. *)
+    profiler only reads simulation state (one branch per event when the
+    world has none) and never feeds back into it, so a profiled run
+    executes the same event sequence as an unprofiled one. *)
 
 type t
 
 val create : unit -> t
 
-val attach : t -> unit
-(** Install [t] as the default profiler probe (replacing any other):
-    every [Sim.t] created while attached inherits it, which is how the
-    probe reaches sims that scenarios create internally. Worlds created
-    before the attach are unaffected — use {!attach_to} for those. *)
+val probe : t -> string option -> float -> int -> unit
+(** [probe t label seconds pending] accounts one executed event — the
+    engine's per-event hook signature. *)
 
-val detach : unit -> unit
-(** Remove the default probe (instances keep theirs; see
-    {!detach_from}). *)
-
-val attach_to : t -> Aitf_engine.Sim.t -> unit
-(** Install [t] as [sim]'s own probe, independent of the default. The
-    parallel engine uses one profiler per shard sim so concurrent shards
-    never interleave buckets; {!merge} recombines them for reporting. *)
-
-val detach_from : Aitf_engine.Sim.t -> unit
-
-val attached : unit -> t option
-val enabled : unit -> bool
-
-val merge : t list -> t
-(** Sum the buckets/events/seconds of several profilers (peak queue depth
-    is the max). Used to report per-shard profiles as one table. *)
+val merge_into : t -> t list -> unit
+(** Add the buckets/events/seconds of several profilers into the first
+    (peak queue depth is the max). The parallel scheduler folds its
+    per-shard profilers back into the parent world's this way. *)
 
 (** {1 Results} *)
 
 val events : t -> int
-(** Events timed while attached. *)
+(** Events timed by this profiler. *)
 
 val seconds : t -> float
 (** Total wall-clock seconds across all buckets. *)

@@ -32,7 +32,7 @@ val make :
   Json.t
 (** Snapshot the registry and assemble the report. [now] stamps
     [generated_at] (virtual time); [series] usually comes from
-    {!Sampler.series}; [?parallel] is the parallel-engine telemetry
+    [Aitf_engine.Sampler.series]; [?parallel] is the parallel-engine telemetry
     section emitted by sharded runs ([As_scenario.result.r_parallel]) —
     omitted entirely for sequential runs, keeping their reports
     byte-identical to previous versions. *)

@@ -4,7 +4,7 @@
     time-to-filter take overall"; this module answers "why did {e this}
     request take 740 ms, and at which gateway did it stall". Every
     filtering request is keyed by a small integer correlation id minted
-    at the victim ({!mint}) and carried inside {!Aitf_core.Message}'s
+    at the victim ({!Obs.mint}) and carried inside {!Aitf_core.Message}'s
     request record; each protocol layer opens a child span per stage
     (detect, request, temp-filter, verification, counter-request,
     permanent-filter) and attaches point events for retransmissions,
@@ -13,27 +13,28 @@
     JSON (loadable in Perfetto) plus a human-readable critical-path
     summary.
 
-    Like {!Aitf_engine.Trace} and {!Metrics}, collection is off by
-    default and attached process-globally ({!attach}); every recording
-    entry point is a single branch when no collector is attached.
-    Recording never schedules events and never consumes randomness, and
-    {!mint} runs unconditionally off a plain counter, so a traced run is
-    bit-identical to an untraced one (same seed, same event sequence).
+    Like {!Trace} and {!Metrics}, collection is off by default and
+    belongs to one simulated world: its {!Obs.t} carries the collector
+    ([Obs.create ~spans]) and every recording entry point below takes
+    that [t option], a single branch when it is [None]. Recording never
+    schedules events and never consumes randomness, and correlation ids
+    are minted unconditionally off the world's own counter
+    ({!Obs.mint}), so a traced run is bit-identical to an untraced one
+    (same seed, same event sequence).
 
     {2 Sharded runs}
 
-    Under the parallel engine each worker domain gets its own collector
-    and mint stride via {!bind_domain} (installed by [As_scenario]
-    through [Sched]'s worker-init hook), so recording needs no locks and
-    traced sharded runs stay bit-identical to untraced ones. Shard
-    collectors run with {!set_allow_orphans} on: spans for a correlation
-    id whose root opened in another shard accumulate under an {e orphan}
-    placeholder, and {!merge_into} reunites everything at end of run —
-    re-keying roots into the canonical (opened_at, victim, flow) order a
-    sequential run would have minted, and dropping orphan-only roots
-    (forged ids), which reproduces the sequential "ignore unknown corr"
-    semantics. {!digest} applies the same canonicalization, so equal
-    digests across shard counts mean the same trace. *)
+    The parallel scheduler gives each shard world its own collector (with
+    {!set_allow_orphans} on) and its own correlation-id range, so
+    recording needs no locks and traced sharded runs stay bit-identical
+    to untraced ones. Spans for a correlation id whose root opened in
+    another shard accumulate under an {e orphan} placeholder, and
+    {!merge_into} reunites everything at end of run — re-keying roots
+    into the canonical (opened_at, victim, flow) order a sequential run
+    would have minted, and dropping orphan-only roots (forged ids), which
+    reproduces the sequential "ignore unknown corr" semantics. {!digest}
+    applies the same canonicalization, so equal digests across shard
+    counts mean the same trace. *)
 
 (** Protocol stages of one filtering request, in causal order. *)
 type stage =
@@ -90,94 +91,59 @@ val set_allow_orphans : t -> bool -> unit
     (sequential semantics); turned on for shard collectors and for the
     master collector during a sharded run. *)
 
-(** {1 Correlation ids} *)
+(** {1 Recording}
 
-val mint : unit -> int
-(** Next correlation id (1, 2, ...). Deterministic and independent of
-    attachment: protocol code mints unconditionally so that message
-    contents do not depend on whether tracing is on. On a worker domain
-    bound with {!bind_domain}, ids come from that domain's stride
-    instead of the process-global counter. *)
+    Every entry point takes the world's collector, if any, and is a no-op
+    on [None]. *)
 
-val reset_mint : unit -> unit
-(** Rewind the process-global correlation-id counter to 0, so the next
-    {!mint} returns 1 again. The counter otherwise runs for the whole
-    process, which makes a scenario's corr ids (and any serialized span
-    digest) depend on how many scenarios ran before it. Harnesses that
-    execute several independent scenarios in one process — the golden
-    matrix, the bench driver — call this before each one; a single
-    scenario never needs it. (Worker-domain strides need no rewind:
-    domains are fresh per scheduler run.) *)
-
-(** {1 Attachment} *)
-
-val attach : t -> unit
-(** Attach [t] process-globally (the main domain's collector). *)
-
-val detach : unit -> unit
-val attached : unit -> t option
-
-val bind_domain : ?collector:t -> mint_base:int -> unit -> unit
-(** Install a per-domain binding for the {e calling} domain: recording
-    on this domain goes to [?collector] (falling back to the global
-    attachment when omitted) and {!mint} returns [mint_base + 1],
-    [mint_base + 2], ... Parallel-engine workers call this at spawn with
-    a per-shard stride (e.g. [(shard + 1) lsl 24], which keeps ids
-    inside the 32-bit wire encoding), whether or not tracing is on —
-    minting happens unconditionally and must stay race-free. *)
-
-val unbind_domain : unit -> unit
-(** Remove the calling domain's binding (main-domain semantics again). *)
-
-val enabled : unit -> bool
-(** [true] iff the calling domain has a collector (its own binding's, or
-    the global attachment). *)
-
-(** {1 Recording (no-ops when detached)} *)
-
-val root : corr:int -> flow:string -> victim:string -> now:float -> unit
+val root :
+  t option -> corr:int -> flow:string -> victim:string -> now:float -> unit
 (** Open the root span for [corr] (first {e real} writer wins; an orphan
     placeholder for [corr] gets its identity filled in). *)
 
-val start : corr:int -> stage:stage -> node:string -> now:float -> unit
+val start :
+  t option -> corr:int -> stage:stage -> node:string -> now:float -> unit
 (** Open a child span. Ignored when no root for [corr] exists (e.g. a
     forged request with corr 0) — unless orphans are allowed, in which
     case a placeholder root is created. *)
 
 val finish :
+  t option ->
   ?node:string -> corr:int -> stage:stage -> now:float -> unit -> unit
 (** Close the most recently opened still-open span for [(corr, stage)] —
     restricted to spans opened by [node] when given (a stage can be open
     on several nodes at once during escalation). No-op when none is
     open: receivers close spans openers may never have started. *)
 
-val event : ?node:string -> corr:int -> now:float -> string -> unit
+val event :
+  t option -> ?node:string -> corr:int -> now:float -> string -> unit
 (** Attach a point event: to the newest open span of [corr] (on [node]
     when given), else to the root. *)
 
 val stage_event :
+  t option ->
   ?node:string -> corr:int -> stage:stage -> now:float -> string -> unit
 (** Attach a point event to the newest open [(corr, stage)] span,
     falling back to the root when none is open. *)
 
-val root_event : corr:int -> now:float -> string -> unit
+val root_event : t option -> corr:int -> now:float -> string -> unit
 (** Attach a point event directly to [corr]'s root, never to an open
     span. Use for annotations whose source is not a stage of the request
     (the fluid mirror, auditors): "newest open span" depends on which
     collector saw which opens, so root attachment is the only placement
     that is invariant across shard layouts. *)
 
-val bind_nonce : corr:int -> nonce:int64 -> unit
+val bind_nonce : t option -> corr:int -> nonce:int64 -> unit
 (** Remember that a handshake [nonce] belongs to [corr], so layers that
     only see the query/reply (the fault injector) can annotate the right
     tree. *)
 
-val corr_of_nonce : nonce:int64 -> int option
+val corr_of_nonce : t option -> nonce:int64 -> int option
 
-val event_by_nonce : nonce:int64 -> now:float -> string -> unit
+val event_by_nonce : t option -> nonce:int64 -> now:float -> string -> unit
 (** {!event} via {!corr_of_nonce}; no-op for unknown nonces. *)
 
-val complete : corr:int -> now:float -> unit
+val complete : t option -> corr:int -> now:float -> unit
 (** Mark the request completed (long filter installed). Fires the SLO
     breach callback ({!set_slo}) when [now - opened_at] exceeds the
     objective. First completion wins. Orphan placeholders record the
@@ -199,8 +165,8 @@ val merge_into : t -> t list -> unit
     anywhere, i.e. forged — are dropped. Roots are then re-keyed
     [1..N] in canonical (opened_at, victim, flow) order with spans and
     events sorted deterministically, and the master's SLO callback is
-    fired for breaching completed roots in that order. Call once, after
-    [Sched.run] returns. *)
+    fired for breaching completed roots in that order. The parallel
+    scheduler calls this once, when [Sched.run] returns. *)
 
 val digest : t -> string
 (** Hex fingerprint of the span forest, independent of raw correlation

@@ -1,24 +1,18 @@
 type event = { time : float; category : string; message : string }
 type sink = event -> unit
 
-let sinks : sink list ref = ref []
-
-let add_sink s = sinks := s :: !sinks
-let clear_sinks () = sinks := []
-let enabled () = !sinks <> []
-
-let emit ~time ~category message =
-  match !sinks with
+let emit sinks ~time ~category message =
+  match sinks with
   | [] -> ()
   | l ->
     let e = { time; category; message } in
     List.iter (fun s -> s e) l
 
-let emitf ~time ~category fmt =
-  (* The mli promises the message is only built when a sink is registered;
+let emitf sinks ~time ~category fmt =
+  (* The mli promises the message is only built when there is a sink;
      [kasprintf] would format eagerly, so bail to [ikfprintf] when idle. *)
-  if enabled () then
-    Format.kasprintf (fun message -> emit ~time ~category message) fmt
+  if sinks <> [] then
+    Format.kasprintf (fun message -> emit sinks ~time ~category message) fmt
   else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 let printing_sink ?(out = Format.std_formatter) () e =

@@ -1,6 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Timer = Aitf_engine.Timer
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 open Aitf_net
 
 type config = {
@@ -72,8 +72,9 @@ let config t = t.cfg
 let aggregate_of t (dst : Addr.t) = Addr.prefix dst t.cfg.aggregate_prefix_len
 
 let trace r fmt =
-  Trace.emitf ~time:(Sim.now (Network.sim r.rt.net)) ~category:r.node.Node.name
-    fmt
+  let sim = Network.sim r.rt.net in
+  Trace.emitf (Sim.obs sim).Aitf_obs.Obs.trace ~time:(Sim.now sim)
+    ~category:r.node.Node.name fmt
 
 (* --- rate limiting ------------------------------------------------------ *)
 

@@ -8,8 +8,7 @@ module Filter_table = Aitf_filter.Filter_table
 module Signing = Aitf_contract.Signing
 module Auditor = Aitf_contract.Auditor
 module Adversary = Aitf_adversary.Adversary
-module Span = Aitf_obs.Span
-module Flight = Aitf_obs.Flight
+module Obs = Aitf_obs.Obs
 module Metrics = Aitf_obs.Metrics
 module Json = Aitf_obs.Json
 open Aitf_net
@@ -85,7 +84,6 @@ type result = {
   r_failovers : int;
   r_shards : int;
   r_sched_stats : Sched.stats;
-  r_shard_profiles : Aitf_obs.Profile.t list;
   r_parallel : Json.t option;
 }
 
@@ -95,7 +93,7 @@ type result = {
 let attack_off = 0x8000
 let legit_off = 0x4000
 
-let run p =
+let run ?obs p =
   let spec = p.as_spec in
   let n = spec.As_graph.domains in
   if p.as_attack_domains < 1 || p.as_legit_domains < 1 then
@@ -119,74 +117,12 @@ let run p =
     invalid_arg
       (Printf.sprintf "As_scenario.run: as_shards must be >= 1 (got %d)"
          shards);
-  let sched = Sched.create ~shards () in
+  let sched = Sched.create ?obs ~shards () in
   let sim = Sched.global sched in
-  (* Shard-clean tracing: each worker domain gets its own span collector
-     (orphan mode on — roots for ids minted in other shards materialise as
-     placeholders) plus a disjoint correlation-id stride; [Span.merge_into]
-     reunites everything after the run. The master collector also runs in
-     orphan mode while sharded: coordinator-context recording (the fluid
-     mirror) sees shard-minted ids too. Workers mint from their stride
-     whether or not tracing is on — minting is unconditional protocol
-     work and must stay race-free. *)
-  let master_span = Span.attached () in
-  let shard_spans =
-    if shards <= 1 then [||]
-    else
-      match master_span with
-      | None -> [||]
-      | Some m ->
-        Span.set_allow_orphans m true;
-        Array.init shards (fun _ ->
-            let c = Span.create () in
-            Span.set_allow_orphans c true;
-            c)
-  in
-  if shards > 1 then
-    Sched.set_worker_init sched (fun ~shard ->
-        Span.bind_domain
-          ?collector:
-            (if shard_spans = [||] then None else Some shard_spans.(shard))
-          ~mint_base:((shard + 1) lsl 24)
-          ());
-  (* Per-shard flight-recorder rings, merged into the attached master in
-     (time, shard, seq) order after the run. Shard-suffixed auto-dump
-     paths keep SLO dumps from different shards out of each other's
-     files. *)
-  let master_flight = Flight.attached () in
-  let shard_flights =
-    if shards <= 1 then [||]
-    else
-      match master_flight with
-      | None -> [||]
-      | Some m ->
-        Array.init shards (fun i ->
-            let f = Flight.create ~capacity:(Flight.capacity m) in
-            Flight.set_shard f i;
-            Flight.set_dump_path f (Flight.dump_path m);
-            Flight.attach_to f (Sched.shard_sim sched i);
-            f)
-  in
-  Metrics.if_attached (fun reg ->
+  Obs.with_metrics (Sim.obs sim) (fun reg ->
       if not (Metrics.registered reg "sched.windows") then
-        Sched.register_metrics sched reg ~prefix:"sched");
-  if shards > 1 && Metrics.attached () <> None then
-    Sched.set_window_log sched ~max:20_000;
-  (* Concurrent shards must not share the default profiler probe their sims
-     inherited at create: give each shard its own buckets ([Profile.merge]
-     recombines them for reporting). The global sim keeps the inherited
-     probe — it only ever runs on the coordinator. *)
-  let shard_profiles =
-    if shards <= 1 || not (Aitf_obs.Profile.enabled ()) then []
-    else
-      Array.to_list
-        (Array.map
-           (fun s ->
-             let pr = Aitf_obs.Profile.create () in
-             Aitf_obs.Profile.attach_to pr s;
-             pr)
-           (Sched.shard_sims sched))
-  in
+        Sched.register_metrics sched reg ~prefix:"sched";
+      if shards > 1 then Sched.set_window_log sched ~max:20_000);
   let rng = Rng.create ~seed:p.as_seed in
   (* Generation is plan -> (picks) -> partition -> materialise: the picks
      draw from the same stream position as they did when [As_graph.build]
@@ -428,20 +364,6 @@ let run p =
   in
   sample p.as_sample_period;
   Sched.run ~until:p.as_duration sched;
-  (* Reunite the per-shard observability state: spans re-keyed into
-     canonical order, flight records interleaved by (time, shard, seq).
-     Shard rings detach so the next run in this process starts clean. *)
-  (match master_span with
-  | Some m when shard_spans <> [||] ->
-    Span.merge_into m (Array.to_list shard_spans)
-  | Some _ | None -> ());
-  (match master_flight with
-  | Some m when shard_flights <> [||] ->
-    Flight.merge_into m (Array.to_list shard_flights);
-    Array.iteri
-      (fun i _ -> Flight.detach_from (Sched.shard_sim sched i))
-      shard_flights
-  | Some _ | None -> ());
   let slots_peak =
     Array.fold_left
       (fun acc gw -> acc + Filter_table.peak_occupancy (Gateway.filters gw))
@@ -564,6 +486,5 @@ let run p =
     r_failovers = (match contracts with Some (_, _, f) -> !f | None -> 0);
     r_shards = shards;
     r_sched_stats = Sched.stats sched;
-    r_shard_profiles = shard_profiles;
     r_parallel;
   }

@@ -100,25 +100,23 @@ type result = {
   r_shards : int;  (** echo of [as_shards] *)
   r_sched_stats : Aitf_parallel.Sched.stats;
       (** synchronization-window counters; all zeros when [as_shards = 1] *)
-  r_shard_profiles : Aitf_obs.Profile.t list;
-      (** per-shard profiler instances, in shard order — non-empty only
-          when [as_shards > 1] and a profiler was attached (merge with
-          {!Aitf_obs.Profile.merge} for one table) *)
   r_parallel : Aitf_obs.Json.t option;
       (** the run report's ["parallel"] telemetry section — shard count,
           lookahead, synchronization counters, per-shard event breakdown
-          and (when a metrics registry was attached) the per-window
+          and (when the world has a metrics registry) the per-window
           timeline; [None] when [as_shards = 1] *)
 }
 
-val run : params -> result
-(** Observability composes with sharding: an attached span collector,
-    flight recorder, metrics registry or contract auditor all work at any
-    [as_shards] — workers record into per-shard collectors/rings that are
-    merged deterministically after the run (spans re-keyed canonically,
-    flight records interleaved by (time, shard, seq)), and victim-side
-    auditor observations replay through [Sched.defer] at barriers. See
-    docs/PARALLEL.md and docs/OBSERVABILITY.md.
+val run : ?obs:Aitf_obs.Obs.t -> params -> result
+(** [?obs] observes the run (default: nothing observed). Observability
+    composes with sharding: a span collector, flight recorder, profiler,
+    metrics registry or contract auditor all work at any [as_shards] —
+    the scheduler gives each shard world its own collector/ring/profiler
+    and merges them into [obs] deterministically after the run (spans
+    re-keyed canonically, flight records interleaved by (time, shard,
+    seq)), and victim-side auditor observations replay through
+    [Sched.defer] at barriers. See docs/PARALLEL.md and
+    docs/OBSERVABILITY.md.
 
     @raise Invalid_argument when the population does not fit the address
     plan (at most 2^15 attack sources and 2^14 legitimate sources per

@@ -108,7 +108,7 @@ let cell_placement = function
 let fl x = Json.Float x
 let it n = Json.Int n
 
-let run_chain_cell cell () =
+let run_chain_cell ~obs cell () =
   let open Scenarios in
   let p =
     {
@@ -126,7 +126,7 @@ let run_chain_cell cell () =
       in_pool_legit_rate = (if cell.adversary = "calm" then 0. else 5e5);
     }
   in
-  let r = run_chain p in
+  let r = run_chain ~obs p in
   let gws =
     r.deployed.Aitf_topo.Chain.victim_gateways
     @ r.deployed.Aitf_topo.Chain.attacker_gateways
@@ -147,7 +147,7 @@ let run_chain_cell cell () =
     ],
     r.victim_rate )
 
-let run_flood_cell cell () =
+let run_flood_cell ~obs cell () =
   let open Scenarios in
   let p =
     {
@@ -162,7 +162,7 @@ let run_flood_cell cell () =
       flood_sample_period = 0.5;
     }
   in
-  let r = run_flood p in
+  let r = run_flood ~obs p in
   ( [
       ("attack_received_bytes", fl r.flood_attack_received_bytes);
       ("good_offered_bytes", fl r.legit_offered_bytes);
@@ -174,7 +174,7 @@ let run_flood_cell cell () =
     ],
     Series.create ~name:"victim-attack-rate" () )
 
-let run_swarm_cell _cell () =
+let run_swarm_cell ~obs _cell () =
   let open Scenarios in
   let p =
     {
@@ -185,7 +185,7 @@ let run_swarm_cell _cell () =
       swarm_sample_period = 0.5;
     }
   in
-  let r = run_swarm p in
+  let r = run_swarm ~obs p in
   ( [
       ("attack_received_bytes", fl r.swarm_attack_received_bytes);
       ("good_offered_bytes", fl r.swarm_good_offered_bytes);
@@ -197,7 +197,7 @@ let run_swarm_cell _cell () =
     ],
     r.swarm_victim_rate )
 
-let run_internet_cell ?(shards = 1) cell () =
+let run_internet_cell ~obs ?(shards = 1) cell () =
   let open As_scenario in
   let contracts = cell.adversary = "contract" || cell.adversary = "lying" in
   let p =
@@ -257,7 +257,7 @@ let run_internet_cell ?(shards = 1) cell () =
         as_audit = { Auditor.default_config with deadline = 0.75; grace = 0.35 };
       }
   in
-  let r = run { p with as_shards = shards } in
+  let r = run ~obs { p with as_shards = shards } in
   let base =
     [
       ("attack_received_bytes", fl r.r_attack_received_bytes);
@@ -329,12 +329,12 @@ let replay_trace shape =
       Replay.synth_carpet ~seed:5 ~duration:12. ~rate:20e6 ~n:16 ()
     | t -> invalid_arg ("Matrix: unknown replay shape " ^ t))
 
-let run_replay_cell cell () =
+let run_replay_cell ~obs cell () =
   let trace = replay_trace cell.topo in
   let engine =
     match cell.engine with "packet" -> `Packet | _ -> `Hybrid
   in
-  let r = Replay.run ~engine trace in
+  let r = Replay.run ~obs ~engine trace in
   ( [
       ("trace", Json.String (Replay.to_string trace));
       ("attack_offered_bytes", fl r.Replay.rr_attack_offered_bytes);
@@ -348,14 +348,14 @@ let run_replay_cell cell () =
     ],
     r.Replay.rr_victim_rate )
 
-let cell_body ?shards cell =
+let cell_body ~obs ?shards cell =
   match cell.topo with
-  | "chain" -> run_chain_cell cell
-  | "flood" -> run_flood_cell cell
-  | "swarm" -> run_swarm_cell cell
-  | "internet" -> run_internet_cell ?shards cell
+  | "chain" -> run_chain_cell ~obs cell
+  | "flood" -> run_flood_cell ~obs cell
+  | "swarm" -> run_swarm_cell ~obs cell
+  | "internet" -> run_internet_cell ~obs ?shards cell
   | t when String.length t > 7 && String.sub t 0 7 = "replay-" ->
-    run_replay_cell cell
+    run_replay_cell ~obs cell
   | t -> invalid_arg ("Matrix: unknown topology " ^ t)
 
 (* --- documents ------------------------------------------------------------- *)
@@ -463,31 +463,24 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* One cell, instrumented: fresh span collector (corr ids rewound so the
-   digest is order-independent), the engine profiler for queue depth and
-   event count, GC delta and the caller's clock for the perf trajectory.
-   Spans are always collected — sharded internet cells record into
-   per-shard collectors (workers mint on per-shard id strides) that
-   As_scenario merges canonically back into [sp], so the document's span
-   section and [cr_digest] are real fingerprints at any shard count. *)
+(* One cell, instrumented: a fresh observer context per cell — span
+   collector (its world mints corr ids from 1, so the digest is
+   order-independent) and the engine profiler for queue depth and event
+   count — plus the GC delta and the caller's clock for the perf
+   trajectory. Spans are always collected — sharded internet cells record
+   into per-shard collectors that the scheduler merges canonically back
+   into [sp], so the document's span section and [cr_digest] are real
+   fingerprints at any shard count. *)
 let run_cell ?(shards = 1) ~clock cell =
   (* A cell pinned to a shard count keeps it; the caller's --shards
      overrides only the unpinned (1-shard) cells. *)
   let shards = if shards > 1 then shards else cell.shards in
-  Span.reset_mint ();
   let sp = Span.create () in
-  Span.attach sp;
   let prof = Profile.create () in
-  Profile.attach prof;
+  let obs = Aitf_obs.Obs.create ~spans:sp ~profile:prof () in
   let a0 = Gc.allocated_bytes () in
   let t0 = clock () in
-  let outcome, series =
-    Fun.protect
-      ~finally:(fun () ->
-        Profile.detach ();
-        Span.detach ())
-      (cell_body ~shards cell)
-  in
+  let outcome, series = cell_body ~obs ~shards cell () in
   let wall = clock () -. t0 in
   let alloc_bytes = Gc.allocated_bytes () -. a0 in
   let doc = doc_of cell outcome series sp in

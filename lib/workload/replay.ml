@@ -372,14 +372,14 @@ type pstate = { mutable sending : bool; mutable active : int; mutable live : int
 
 let effective st = if st.sending then st.active else 0
 
-let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
-    ?(sample_period = 0.5) ~engine trace =
+let run ?obs ?(spec = Chain.default_spec) ?(config = Config.default)
+    ?(td = 0.1) ?(sample_period = 0.5) ~engine trace =
   List.iter
     (fun p ->
       if p.p_n > 1 lsl 20 then
         invalid_arg "Replay.run: pool larger than 2^20 sources")
     trace.tr_pools;
-  let sim = Sim.create () in
+  let sim = Sim.create ?obs () in
   let rng = Rng.create ~seed:trace.tr_seed in
   let topo = Chain.build sim spec in
   let net = topo.Chain.net in

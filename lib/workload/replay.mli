@@ -127,6 +127,7 @@ val offered_bytes : trace -> attack:bool -> float
     per-source rate x live membership, integrated over the horizon. *)
 
 val run :
+  ?obs:Aitf_obs.Obs.t ->
   ?spec:Aitf_topo.Chain.spec ->
   ?config:Config.t ->
   ?td:float ->
@@ -137,7 +138,8 @@ val run :
 (** Replay [trace] on the Figure-1 chain augmented with one origin node
     per pool (each advertising the smallest prefix covering its source
     range, requests into it absorbed). [config]'s [engine] field is
-    overridden by [engine]. Deterministic: same trace, same engine, same
-    result — bit-identical serialized reports.
+    overridden by [engine]; [?obs] observes the replay's world.
+    Deterministic: same trace, same engine, same result — bit-identical
+    serialized reports.
 
     @raise Invalid_argument when a pool population exceeds 2^20. *)

@@ -73,7 +73,7 @@ type chain_result = {
   overload_evictions : int;
   collateral_packets : int;
   collateral_bytes : int;
-  sampler : Aitf_obs.Sampler.t option;
+  sampler : Aitf_engine.Sampler.t option;
   fluid : Fluid.t option;
   events_processed : int;
 }
@@ -86,17 +86,17 @@ let counter_total gws name =
    entirely on the scheduler's global sim. The seam exists so tests can
    check that a 1-shard [Sched] replays the sequential engine bit for
    bit. *)
-let sim_of_sched = function
+let sim_of_sched ?obs = function
   | Some s -> Sched.global s
-  | None -> Sim.create ()
+  | None -> Sim.create ?obs ()
 
 let run_sched ?sched ~until sim =
   match sched with
   | Some s -> Sched.run ~until s
   | None -> Sim.run ~until sim
 
-let run_chain ?sched params =
-  let sim = sim_of_sched sched in
+let run_chain ?obs ?sched params =
+  let sim = sim_of_sched ?obs sched in
   let rng = Rng.create ~seed:params.seed in
   let topo = Chain.build sim params.spec in
   let config, path_source =
@@ -298,13 +298,14 @@ let run_chain ?sched params =
              sample (t +. params.sample_period)))
   in
   sample params.sample_period;
-  (* When a metrics registry is attached, every component above has already
-     self-registered; the sampler adds the sim-level metrics and the
+  (* When the world has a metrics registry, every component above has
+     already self-registered; the sampler adds the sim-level metrics and the
      time-series half of the run report. *)
   let sampler =
     Option.map
-      (fun reg -> Aitf_obs.Sampler.start ~interval:params.sample_period sim reg)
-      (Aitf_obs.Metrics.attached ())
+      (fun reg ->
+        Aitf_engine.Sampler.start ~interval:params.sample_period sim reg)
+      (Sim.obs sim).Aitf_obs.Obs.metrics
   in
   run_sched ?sched ~until:params.duration sim;
   let attack_offered_bytes =
@@ -445,13 +446,13 @@ type flood_result = {
   flood_attack_received_bytes : float;
   leaf_filters : int;
   isp_filters : int;
-  flood_sampler : Aitf_obs.Sampler.t option;
+  flood_sampler : Aitf_engine.Sampler.t option;
   flood_fluid : Fluid.t option;
   flood_events : int;
 }
 
-let run_flood ?sched p =
-  let sim = sim_of_sched sched in
+let run_flood ?obs ?sched p =
+  let sim = sim_of_sched ?obs sched in
   let rng = Rng.create ~seed:p.flood_seed in
   let t = Hierarchy.build sim p.hierarchy in
   let config = p.flood_config in
@@ -576,8 +577,8 @@ let run_flood ?sched p =
   let flood_sampler =
     Option.map
       (fun reg ->
-        Aitf_obs.Sampler.start ~interval:p.flood_sample_period sim reg)
-      (Aitf_obs.Metrics.attached ())
+        Aitf_engine.Sampler.start ~interval:p.flood_sample_period sim reg)
+      (Sim.obs sim).Aitf_obs.Obs.metrics
   in
   run_sched ?sched ~until:p.flood_duration sim;
   let filters_at gws =
@@ -664,7 +665,7 @@ type swarm_result = {
   swarm_filters : int;
   swarm_absorbed : int;
   swarm_events : int;
-  swarm_sampler : Aitf_obs.Sampler.t option;
+  swarm_sampler : Aitf_engine.Sampler.t option;
 }
 
 (* Each pool advertises a /12 (room for 2^20 sources) from 32.0.0.0 up, so
@@ -672,14 +673,14 @@ type swarm_result = {
    routes back to the pool node for the reverse control path. *)
 let pool_prefix j = Addr.prefix (Addr.of_octets 32 (16 * j) 0 0) 12
 
-let run_swarm ?sched p =
+let run_swarm ?obs ?sched p =
   if p.swarm_pools < 1 || p.swarm_pools > 16 then
     invalid_arg "run_swarm: swarm_pools must be in 1..16";
   if p.swarm_sources < p.swarm_pools then
     invalid_arg "run_swarm: need at least one source per pool";
   if (p.swarm_sources / p.swarm_pools) + 1 > 1 lsl 20 then
     invalid_arg "run_swarm: more than 2^20 sources per pool";
-  let sim = sim_of_sched sched in
+  let sim = sim_of_sched ?obs sched in
   let rng = Rng.create ~seed:p.swarm_seed in
   let topo = Chain.build sim p.swarm_spec in
   let net = topo.Chain.net in
@@ -758,8 +759,8 @@ let run_swarm ?sched p =
   let swarm_sampler =
     Option.map
       (fun reg ->
-        Aitf_obs.Sampler.start ~interval:p.swarm_sample_period sim reg)
-      (Aitf_obs.Metrics.attached ())
+        Aitf_engine.Sampler.start ~interval:p.swarm_sample_period sim reg)
+      (Sim.obs sim).Aitf_obs.Obs.metrics
   in
   Sim.run ~until:p.swarm_duration sim;
   let all_gws =

@@ -84,17 +84,23 @@ type chain_result = {
   collateral_packets : int;
       (** legitimate packets dropped by manager-installed aggregates *)
   collateral_bytes : int;
-  sampler : Aitf_obs.Sampler.t option;
-      (** started (at [sample_period]) iff a metrics registry was attached
-          via {!Aitf_obs.Metrics.attach} before the run *)
+  sampler : Aitf_engine.Sampler.t option;
+      (** started (at [sample_period]) iff the world's observer context
+          carries a metrics registry *)
   fluid : Fluid.t option;
       (** the fluid engine, iff the config selected {!Config.Hybrid} *)
   events_processed : int;
       (** discrete events executed — the engine-comparison cost metric *)
 }
 
-val run_chain : ?sched:Aitf_parallel.Sched.t -> chain_params -> chain_result
-(** [?sched] runs the scenario on that scheduler's global sim (the fixed
+val run_chain :
+  ?obs:Aitf_obs.Obs.t ->
+  ?sched:Aitf_parallel.Sched.t ->
+  chain_params ->
+  chain_result
+(** [?obs] observes the scenario's world (default: nothing observed).
+    [?sched] runs the scenario on that scheduler's global sim instead,
+    observed by the context the scheduler was created with (the fixed
     chain topology is never sharded); a 1-shard scheduler replays the
     default sequential engine bit for bit. *)
 
@@ -125,7 +131,8 @@ type flood_params = {
   legit_rate : float;  (** bits/s each *)
   attack_start : float;
   with_aitf : bool;
-  flood_sample_period : float;  (** metric sampling period when attached *)
+  flood_sample_period : float;
+      (** metric sampling period when the world has a registry *)
 }
 
 val default_flood : flood_params
@@ -144,14 +151,19 @@ type flood_result = {
       (** long-filter installs at enterprise gateways — one per zombie per
           T cycle while the attack lasts *)
   isp_filters : int;
-  flood_sampler : Aitf_obs.Sampler.t option;
-      (** started iff a metrics registry was attached before the run *)
+  flood_sampler : Aitf_engine.Sampler.t option;
+      (** started iff the world's observer context carries a registry *)
   flood_fluid : Fluid.t option;
       (** the fluid engine, iff the config selected {!Config.Hybrid} *)
   flood_events : int;
 }
 
-val run_flood : ?sched:Aitf_parallel.Sched.t -> flood_params -> flood_result
+val run_flood :
+  ?obs:Aitf_obs.Obs.t ->
+  ?sched:Aitf_parallel.Sched.t ->
+  flood_params ->
+  flood_result
+(** [?obs] and [?sched] as for {!run_chain}. *)
 
 (** {1 Massive swarm (hybrid engine only)}
 
@@ -197,9 +209,14 @@ type swarm_result = {
       (** To_attacker requests absorbed at pool nodes (no hosts behind a
           spoofed pool to deliver them to) *)
   swarm_events : int;
-  swarm_sampler : Aitf_obs.Sampler.t option;
+  swarm_sampler : Aitf_engine.Sampler.t option;
 }
 
-val run_swarm : ?sched:Aitf_parallel.Sched.t -> swarm_params -> swarm_result
-(** @raise Invalid_argument when the pool/source counts are out of range
+val run_swarm :
+  ?obs:Aitf_obs.Obs.t ->
+  ?sched:Aitf_parallel.Sched.t ->
+  swarm_params ->
+  swarm_result
+(** [?obs] and [?sched] as for {!run_chain}.
+    @raise Invalid_argument when the pool/source counts are out of range
     (pools in 1..16, at most 2^20 sources per pool). *)

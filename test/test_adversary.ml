@@ -68,9 +68,10 @@ let test_manager_beats_baseline () =
 
 let test_json_report_surfaces_overload () =
   let reg = Metrics.create () in
-  Metrics.attach reg;
-  let r = Scenarios.run_chain (slot_params ~manager:true) in
-  Metrics.detach ();
+  let r =
+    Scenarios.run_chain ~obs:(Aitf_obs.Obs.create ~metrics:reg ())
+      (slot_params ~manager:true)
+  in
   let report = Report.make ~now:30. reg in
   let values =
     match Report.values_of_json report with

@@ -6,7 +6,7 @@ module Event_queue = Aitf_engine.Event_queue
 module Sim = Aitf_engine.Sim
 module Timer = Aitf_engine.Timer
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
+module Trace = Aitf_obs.Trace
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -460,31 +460,25 @@ let sim_order_matches_reference =
 (* --- Trace --------------------------------------------------------------- *)
 
 let test_trace_disabled_by_default () =
-  Trace.clear_sinks ();
-  checkb "disabled" false (Trace.enabled ());
-  Trace.emit ~time:1.0 ~category:"x" "hello"
+  let sim = Sim.create () in
+  checkb "disabled" true ((Sim.obs sim).Aitf_obs.Obs.trace = []);
+  Trace.emit (Sim.obs sim).Aitf_obs.Obs.trace ~time:1.0 ~category:"x" "hello"
 
 let test_trace_collecting () =
-  Trace.clear_sinks ();
   let sink, events = Trace.collecting_sink () in
-  Trace.add_sink sink;
-  Trace.emit ~time:1.0 ~category:"cat" "one";
-  Trace.emitf ~time:2.0 ~category:"cat" "two %d" 2;
+  let sinks = (Aitf_obs.Obs.create ~trace:[ sink ] ()).Aitf_obs.Obs.trace in
+  Trace.emit sinks ~time:1.0 ~category:"cat" "one";
+  Trace.emitf sinks ~time:2.0 ~category:"cat" "two %d" 2;
   let evs = events () in
-  Trace.clear_sinks ();
   checki "two events" 2 (List.length evs);
   let e = List.nth evs 1 in
   check Alcotest.string "formatted" "two 2" e.Trace.message;
   checkf "time" 2.0 e.Trace.time
 
 let test_trace_multiple_sinks () =
-  Trace.clear_sinks ();
   let s1, e1 = Trace.collecting_sink () in
   let s2, e2 = Trace.collecting_sink () in
-  Trace.add_sink s1;
-  Trace.add_sink s2;
-  Trace.emit ~time:0.5 ~category:"c" "msg";
-  Trace.clear_sinks ();
+  Trace.emit [ s1; s2 ] ~time:0.5 ~category:"c" "msg";
   checki "sink1" 1 (List.length (e1 ()));
   checki "sink2" 1 (List.length (e2 ()))
 

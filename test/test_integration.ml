@@ -297,9 +297,8 @@ let test_lossy_control_channel_converges () =
 (* --- Golden trace of the Figure-1 round --------------------------------------- *)
 
 let test_figure1_golden_trace () =
-  let sink, events = Aitf_engine.Trace.collecting_sink () in
-  Aitf_engine.Trace.add_sink sink;
-  let sim = Sim.create () in
+  let sink, events = Aitf_obs.Trace.collecting_sink () in
+  let sim = Sim.create ~obs:(Aitf_obs.Obs.create ~trace:[ sink ] ()) () in
   let rng = Rng.create ~seed:1 in
   let topo = Chain.build sim Chain.default_spec in
   let d =
@@ -313,29 +312,31 @@ let test_figure1_golden_trace () =
       ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker
   in
   Sim.run ~until:5.0 sim;
-  Aitf_engine.Trace.clear_sinks ();
-  let who = List.map (fun (e : Aitf_engine.Trace.event) -> e.category) (events ()) in
+  let who =
+    List.map (fun (e : Aitf_obs.Trace.event) -> e.category) (events ())
+  in
   check (Alcotest.list Alcotest.string)
     "exact actor sequence of round 1"
     [ "G_host"; "G_gw1"; "B_gw1"; "B_gw1" ]
     who
 
-(* The observability layer sees the same walk-through: with a registry
-   attached, the F1 scenario must leave a populated time-to-filter
-   histogram at the attacker's gateway — the handshake takes nonzero
-   virtual time, so the samples are strictly positive. *)
+(* The observability layer sees the same walk-through: with a registry in
+   the world's observer context, the F1 scenario must leave a populated
+   time-to-filter histogram at the attacker's gateway — the handshake
+   takes nonzero virtual time, so the samples are strictly positive. *)
 let test_figure1_time_to_filter_observed () =
   let module Metrics = Aitf_obs.Metrics in
   let reg = Metrics.create () in
-  Metrics.attach reg;
-  Fun.protect ~finally:Metrics.detach (fun () ->
-      let r = Scenarios.run_chain { params with Scenarios.duration = 20. } in
-      ignore r;
-      match Metrics.value reg "gateway.B_gw1.time_to_filter" with
-      | Some (Metrics.Histogram { count; sum; _ }) ->
-        checkb "installs observed" true (count > 0);
-        checkb "handshake RTT is positive" true (sum > 0.)
-      | _ -> Alcotest.fail "time_to_filter not registered")
+  let r =
+    Scenarios.run_chain ~obs:(Aitf_obs.Obs.create ~metrics:reg ())
+      { params with Scenarios.duration = 20. }
+  in
+  ignore r;
+  match Metrics.value reg "gateway.B_gw1.time_to_filter" with
+  | Some (Metrics.Histogram { count; sum; _ }) ->
+    checkb "installs observed" true (count > 0);
+    checkb "handshake RTT is positive" true (sum > 0.)
+  | _ -> Alcotest.fail "time_to_filter not registered"
 
 (* --- Protocol-safety fuzz ------------------------------------------------------ *)
 

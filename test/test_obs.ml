@@ -2,7 +2,7 @@
 
 module Json = Aitf_obs.Json
 module Metrics = Aitf_obs.Metrics
-module Sampler = Aitf_obs.Sampler
+module Sampler = Aitf_engine.Sampler
 module Report = Aitf_obs.Report
 module Sim = Aitf_engine.Sim
 module Series = Aitf_stats.Series
@@ -58,34 +58,44 @@ let test_timer_observe () =
     checki "bucket total" 2 (List.fold_left (fun acc (_, n) -> acc + n) 0 buckets)
   | _ -> Alcotest.fail "expected histogram"
 
-let test_attach_detach () =
-  Metrics.detach ();
-  checkb "starts detached" true (Metrics.attached () = None);
-  checkb "timer when detached" true (Metrics.timer_if_attached "t" = None);
+let test_world_registry () =
   let hit = ref false in
-  Metrics.if_attached (fun _ -> hit := true);
-  checkb "if_attached no-op" false !hit;
+  let bare = Aitf_obs.Obs.create () in
+  Aitf_obs.Obs.with_metrics bare (fun _ -> hit := true);
+  checkb "no registry, no registration" false !hit;
   let reg = Metrics.create () in
-  Metrics.attach reg;
-  Fun.protect ~finally:Metrics.detach (fun () ->
-      Metrics.if_attached (fun _ -> hit := true);
-      checkb "if_attached runs" true !hit;
-      checkb "timer registers" true (Metrics.timer_if_attached "t" <> None);
-      checkb "timer named" true (Metrics.registered reg "t"));
-  checkb "detached again" true (Metrics.attached () = None)
+  let obs = Aitf_obs.Obs.create ~metrics:reg () in
+  Aitf_obs.Obs.with_metrics obs (fun r -> ignore (Metrics.timer r "t"));
+  checkb "timer named" true (Metrics.registered reg "t");
+  (* Components register into their own world's registry only. *)
+  let sim = Sim.create ~obs () in
+  ignore
+    (Aitf_net.Link.create sim ~name:"a->b" ~bandwidth:1e6 ~delay:0.01
+       ~queue_capacity:1000);
+  checkb "observed world registers" true
+    (Metrics.registered reg "link.a->b.tx_packets");
+  let before = Metrics.size reg in
+  ignore
+    (Aitf_net.Link.create (Sim.create ()) ~name:"c->d" ~bandwidth:1e6
+       ~delay:0.01 ~queue_capacity:1000);
+  checki "bare world leaves it alone" before (Metrics.size reg)
 
-let test_with_attached_detaches_on_raise () =
-  Metrics.detach ();
+let test_no_leak_across_runs () =
+  (* A run that raises mid-build leaves its registry populated, but the
+     next run's world has its own (here: no) observers. *)
   let reg = Metrics.create () in
-  let v = Metrics.with_attached reg (fun () -> Metrics.attached () <> None) in
-  checkb "attached inside" true v;
-  checkb "detached after return" true (Metrics.attached () = None);
-  (* the reason with_attached exists: a raise mid-build must not leave the
-     registry attached to poison the next run in the same process *)
   (try
-     Metrics.with_attached reg (fun () -> failwith "mid-build explosion")
-   with Failure _ -> ());
-  checkb "detached after raise" true (Metrics.attached () = None)
+     ignore
+       (Scenarios.run_chain ~obs:(Aitf_obs.Obs.create ~metrics:reg ())
+          { Scenarios.default_chain with Scenarios.attack_rate = 0. })
+   with Invalid_argument _ -> ());
+  let before = Metrics.size reg in
+  checkb "the failed build had registered" true (before > 0);
+  let r =
+    Scenarios.run_chain { Scenarios.default_chain with Scenarios.duration = 2. }
+  in
+  checkb "unobserved run has no sampler" true (r.Scenarios.sampler = None);
+  checki "earlier registry untouched" before (Metrics.size reg)
 
 let test_cross_domain_stress () =
   (* The parallel engine registers sched.* metrics and observes stall
@@ -198,19 +208,17 @@ let test_sampler_collects () =
 
 let run_sampled_chain () =
   let reg = Metrics.create () in
-  Metrics.attach reg;
-  Fun.protect ~finally:Metrics.detach (fun () ->
-      let r =
-        Scenarios.run_chain
-          {
-            Scenarios.default_chain with
-            Scenarios.config =
-              Aitf_core.Config.with_timescale Aitf_core.Config.default 0.1;
-            duration = 10.;
-          }
-      in
-      let sampler = Option.get r.Scenarios.sampler in
-      (Metrics.snapshot reg, Sampler.series sampler))
+  let r =
+    Scenarios.run_chain ~obs:(Aitf_obs.Obs.create ~metrics:reg ())
+      {
+        Scenarios.default_chain with
+        Scenarios.config =
+          Aitf_core.Config.with_timescale Aitf_core.Config.default 0.1;
+        duration = 10.;
+      }
+  in
+  let sampler = Option.get r.Scenarios.sampler in
+  (Metrics.snapshot reg, Sampler.series sampler)
 
 let test_sampler_deterministic () =
   let snap1, series1 = run_sampled_chain () in
@@ -316,9 +324,9 @@ let () =
           Alcotest.test_case "double registration raises" `Quick
             test_double_registration_raises;
           Alcotest.test_case "timer observe" `Quick test_timer_observe;
-          Alcotest.test_case "attach/detach" `Quick test_attach_detach;
-          Alcotest.test_case "with_attached detaches on raise" `Quick
-            test_with_attached_detaches_on_raise;
+          Alcotest.test_case "per-world registry" `Quick test_world_registry;
+          Alcotest.test_case "no leak across runs" `Quick
+            test_no_leak_across_runs;
           Alcotest.test_case "cross-domain stress" `Quick
             test_cross_domain_stress;
         ] );

@@ -1,7 +1,8 @@
 (* Parallel engine: 1-shard bit-identity against the sequential engine,
    conservative message ordering under random shard topologies,
    multi-shard determinism and 1-vs-N agreement, zero-lookahead
-   rejection, and per-instance profiler-hook isolation. *)
+   rejection, per-world profiler isolation, and observability composing
+   with shards. *)
 
 module Sim = Aitf_engine.Sim
 module Sched = Aitf_parallel.Sched
@@ -143,18 +144,19 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
     done
   done;
   let log = Array.make shards [] in
-  let expected = ref 0 and executed = ref 0 in
+  (* Bumped from every worker domain at once, hence atomic. *)
+  let expected = Atomic.make 0 and executed = Atomic.make 0 in
   let record shard kind sim =
     log.(shard) <-
       { x_shard = shard; x_time = Sim.now sim; x_kind = kind } :: log.(shard);
-    incr executed
+    Atomic.incr executed
   in
   for s = 0 to shards - 1 do
     let sim = Sched.shard_sim sched s in
     let period = 0.01 +. (0.003 *. float_of_int (s + 1)) in
     let rec tick i =
       if Sim.now sim +. period <= until then begin
-        incr expected;
+        Atomic.incr expected;
         ignore
           (Sim.after sim period (fun () ->
                record s `Local sim;
@@ -163,7 +165,7 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
                let dst = (s + 1 + (i mod (shards - 1))) mod shards in
                let t = Sim.now sim +. lookaheads.(s).(dst) in
                if t <= until then begin
-                 incr expected;
+                 Atomic.incr expected;
                  Sched.post sched ~dst ~time:t (fun () ->
                      record dst `Msg (Sched.shard_sim sched dst))
                end;
@@ -172,7 +174,7 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
     in
     ignore (tick 0);
     for k = 1 to ticks do
-      incr expected;
+      Atomic.incr expected;
       ignore
         (Sim.at sim
            (0.005 *. float_of_int (k * (s + 1)))
@@ -180,7 +182,7 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
     done
   done;
   Sched.run ~until sched;
-  (Array.map List.rev log, !expected, !executed)
+  (Array.map List.rev log, Atomic.get expected, Atomic.get executed)
 
 let ordering_property (shards, las) =
   let lookaheads = Array.of_list (List.map Array.of_list las) in
@@ -256,9 +258,10 @@ let test_zero_lookahead_rejected () =
 
 let test_profile_hook_per_instance () =
   let module Profile = Aitf_obs.Profile in
-  let sim_a = Sim.create () and sim_b = Sim.create () in
+  let module Obs = Aitf_obs.Obs in
   let pa = Profile.create () in
-  Profile.attach_to pa sim_a;
+  let sim_a = Sim.create ~obs:(Obs.create ~profile:pa ()) ()
+  and sim_b = Sim.create () in
   let burn sim n =
     for i = 1 to n do
       ignore (Sim.after sim (float_of_int i) (fun () -> ()))
@@ -267,25 +270,24 @@ let test_profile_hook_per_instance () =
   in
   burn sim_a 5;
   burn sim_b 7;
-  checki "instance probe saw only its own sim" 5 (Profile.events pa);
-  Profile.detach_from sim_a;
-  burn sim_a 3;
-  checki "detached probe sees nothing further" 5 (Profile.events pa);
-  (* The default probe is inherited at [Sim.create] only, so worlds that
-     existed beforehand — and worlds with their own probe — are
-     unaffected by it. *)
+  checki "world probe saw only its own sim" 5 (Profile.events pa);
+  (* The default probe is inherited at [Sim.create] only, and only by
+     worlds without a profiler of their own: worlds that existed
+     beforehand — and worlds with their own probe — are unaffected. *)
   let pd = Profile.create () in
-  Profile.attach pd;
-  let sim_c = Sim.create () in
+  Sim.set_default_profile_hook (Profile.probe pd);
   let pc = Profile.create () in
-  Profile.attach_to pc sim_c;
+  let sim_c = Sim.create ~obs:(Obs.create ~profile:pc ()) () in
+  let sim_d = Sim.create () in
   burn sim_c 4;
   burn sim_b 2;
-  Profile.detach ();
-  checki "attach_to overrides the inherited default" 4 (Profile.events pc);
-  checki "default probe untouched by overridden sims" 0 (Profile.events pd);
-  let merged = Profile.merge [ pa; pc ] in
-  checki "merge sums events" 9 (Profile.events merged)
+  burn sim_d 3;
+  Sim.clear_default_profile_hook ();
+  checki "own profiler overrides the inherited default" 4 (Profile.events pc);
+  checki "default probe reaches only new worlds without one" 3
+    (Profile.events pd);
+  Profile.merge_into pa [ pc ];
+  checki "merge sums events" 9 (Profile.events pa)
 
 (* --- guard rails -------------------------------------------------------------- *)
 
@@ -300,21 +302,19 @@ let test_bad_shards_rejected () =
 
 module Span = Aitf_obs.Span
 module Flight = Aitf_obs.Flight
+module Obs = Aitf_obs.Obs
 
 let traced_run p =
-  Span.reset_mint ();
   let sp = Span.create () in
-  Span.attach sp;
-  Fun.protect ~finally:Span.detach (fun () -> (As_scenario.run p, sp))
+  (As_scenario.run ~obs:(Obs.create ~spans:sp ()) p, sp)
 
 let test_traced_equals_untraced () =
   (* Recording never schedules events and never consumes randomness, and
-     workers mint from their stride whether or not a collector is
-     attached — so tracing must not move a single byte at any shard
+     every world mints from its own range whether or not it has a
+     collector — so tracing must not move a single byte at any shard
      count. *)
   List.iter
     (fun shards ->
-      Span.reset_mint ();
       let plain = As_scenario.run (small_internet shards) in
       let traced, sp = traced_run (small_internet shards) in
       checkb
@@ -337,6 +337,16 @@ let test_span_digest_shard_invariant () =
   let d1 = digest 1 and d2 = digest 2 and d4 = digest 4 in
   Alcotest.(check string) "digest: 1 shard = 2 shards" d1 d2;
   Alcotest.(check string) "digest: 1 shard = 4 shards" d1 d4
+
+let test_back_to_back_digests () =
+  (* Each run's worlds mint from their own counters: a second traced
+     2-shard run in the same process needs no rewind to reproduce the
+     first one's trace. *)
+  let _, a = traced_run (small_internet 2) in
+  let _, b = traced_run (small_internet 2) in
+  checkb "spans were collected" true (Span.roots a <> []);
+  Alcotest.(check string) "digest: run 1 = run 2" (Span.digest a)
+    (Span.digest b)
 
 let test_contracts_compose_with_shards () =
   let p shards =
@@ -362,11 +372,7 @@ let test_contracts_compose_with_shards () =
 
 let test_flight_recorder_composes_with_shards () =
   let fl = Flight.create ~capacity:4096 in
-  Flight.attach fl;
-  let r =
-    Fun.protect ~finally:Flight.detach (fun () ->
-        As_scenario.run (small_internet 4))
-  in
+  let r = As_scenario.run ~obs:(Obs.create ~flight:fl ()) (small_internet 4) in
   checki "ran sharded" 4 r.As_scenario.r_shards;
   let rs = Flight.records fl in
   checkb "records were captured" true (rs <> []);
@@ -434,6 +440,8 @@ let () =
             test_traced_equals_untraced;
           Alcotest.test_case "span digest is shard-invariant" `Slow
             test_span_digest_shard_invariant;
+          Alcotest.test_case "back-to-back sharded runs trace alike" `Slow
+            test_back_to_back_digests;
           Alcotest.test_case "contracts compose with shards" `Slow
             test_contracts_compose_with_shards;
           Alcotest.test_case "flight recorder composes with shards" `Quick

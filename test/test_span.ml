@@ -10,6 +10,7 @@ module Flight = Aitf_obs.Flight
 module Profile = Aitf_obs.Profile
 module Json = Aitf_obs.Json
 module Metrics = Aitf_obs.Metrics
+module Obs = Aitf_obs.Obs
 module Sim = Aitf_engine.Sim
 module Scenarios = Aitf_workload.Scenarios
 module Chain = Aitf_topo.Chain
@@ -32,34 +33,36 @@ let contains ~sub s =
 
 (* --- span collector mechanics ---------------------------------------------- *)
 
-let with_collector f =
-  let t = Span.create () in
-  Span.attach t;
-  Fun.protect ~finally:Span.detach (fun () -> f t)
+let with_collector f = f (Span.create ())
+
+(* Correlation ids for the collector tests, minted by one world. *)
+let world = Obs.create ()
+let mint () = Obs.mint world
 
 let test_mint_monotone () =
-  let a = Span.mint () in
-  let b = Span.mint () in
-  checkb "minting increments" true (b = a + 1);
-  (* minting is independent of attachment *)
-  with_collector (fun _ -> ());
-  let c = Span.mint () in
-  checkb "still monotone" true (c = b + 1)
+  (* each world mints from 1, whether or not it traces *)
+  let plain = Obs.create () in
+  let traced = Obs.create ~spans:(Span.create ()) () in
+  checki "first id" 1 (Obs.mint plain);
+  checki "independent of tracing" 1 (Obs.mint traced);
+  checki "minting increments" 2 (Obs.mint plain);
+  let shard = Obs.create ~mint_base:(1 lsl 24) () in
+  checki "offset range" ((1 lsl 24) + 1) (Obs.mint shard)
 
 let test_span_lifecycle () =
   with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"a -> v" ~victim:"V" ~now:1.0;
-      Span.start ~corr ~stage:Span.Detect ~node:"V" ~now:1.0;
-      Span.event ~corr ~now:1.05 "spotted";
-      Span.finish ~corr ~stage:Span.Detect ~now:1.1 ();
-      Span.start ~corr ~stage:Span.Request ~node:"V" ~now:1.1;
-      Span.finish ~corr ~stage:Span.Request ~now:1.2 ();
-      Span.complete ~corr ~now:1.5;
+      let corr = mint () in
+      Span.root (Some t) ~corr ~flow:"a -> v" ~victim:"V" ~now:1.0;
+      Span.start (Some t) ~corr ~stage:Span.Detect ~node:"V" ~now:1.0;
+      Span.event (Some t) ~corr ~now:1.05 "spotted";
+      Span.finish (Some t) ~corr ~stage:Span.Detect ~now:1.1 ();
+      Span.start (Some t) ~corr ~stage:Span.Request ~node:"V" ~now:1.1;
+      Span.finish (Some t) ~corr ~stage:Span.Request ~now:1.2 ();
+      Span.complete (Some t) ~corr ~now:1.5;
       (* a corr with no root (forged request, corr 0) records nothing *)
-      Span.start ~corr:0 ~stage:Span.Request ~node:"X" ~now:9.;
-      Span.finish ~corr:0 ~stage:Span.Request ~now:9.1 ();
-      Span.event ~corr:0 ~now:9.2 "ignored";
+      Span.start (Some t) ~corr:0 ~stage:Span.Request ~node:"X" ~now:9.;
+      Span.finish (Some t) ~corr:0 ~stage:Span.Request ~now:9.1 ();
+      Span.event (Some t) ~corr:0 ~now:9.2 "ignored";
       checki "one root" 1 (List.length (Span.roots t));
       let r = Option.get (Span.find_root t corr) in
       checks "flow" "a -> v" r.Span.flow;
@@ -74,12 +77,12 @@ let test_span_lifecycle () =
 
 let test_finish_is_node_scoped () =
   with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"f" ~victim:"V" ~now:0.;
+      let corr = mint () in
+      Span.root (Some t) ~corr ~flow:"f" ~victim:"V" ~now:0.;
       (* the same stage open on two nodes at once, as during escalation *)
-      Span.start ~corr ~stage:Span.Temp_filter ~node:"G1" ~now:0.;
-      Span.start ~corr ~stage:Span.Temp_filter ~node:"G2" ~now:1.;
-      Span.finish ~node:"G1" ~corr ~stage:Span.Temp_filter ~now:2. ();
+      Span.start (Some t) ~corr ~stage:Span.Temp_filter ~node:"G1" ~now:0.;
+      Span.start (Some t) ~corr ~stage:Span.Temp_filter ~node:"G2" ~now:1.;
+      Span.finish (Some t) ~node:"G1" ~corr ~stage:Span.Temp_filter ~now:2. ();
       let r = Option.get (Span.find_root t corr) in
       let by_node n =
         List.find (fun s -> s.Span.node = n) (Span.spans_of r)
@@ -87,17 +90,19 @@ let test_finish_is_node_scoped () =
       checkb "G1 closed" true ((by_node "G1").Span.finished_at = Some 2.);
       checkb "G2 still open" true ((by_node "G2").Span.finished_at = None);
       (* finishing a stage nobody opened is a no-op, not an error *)
-      Span.finish ~corr ~stage:Span.Verification ~now:3. ())
+      Span.finish (Some t) ~corr ~stage:Span.Verification ~now:3. ())
 
 let test_nonce_binding () =
   with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"f" ~victim:"V" ~now:0.;
-      Span.bind_nonce ~corr ~nonce:77L;
-      checkb "nonce resolves" true (Span.corr_of_nonce ~nonce:77L = Some corr);
-      checkb "unknown nonce" true (Span.corr_of_nonce ~nonce:1L = None);
-      Span.event_by_nonce ~nonce:77L ~now:0.5 "fault-dropped-query";
-      Span.event_by_nonce ~nonce:1L ~now:0.5 "ignored";
+      let corr = mint () in
+      Span.root (Some t) ~corr ~flow:"f" ~victim:"V" ~now:0.;
+      Span.bind_nonce (Some t) ~corr ~nonce:77L;
+      checkb "nonce resolves" true
+        (Span.corr_of_nonce (Some t) ~nonce:77L = Some corr);
+      checkb "unknown nonce" true
+        (Span.corr_of_nonce (Some t) ~nonce:1L = None);
+      Span.event_by_nonce (Some t) ~nonce:77L ~now:0.5 "fault-dropped-query";
+      Span.event_by_nonce (Some t) ~nonce:1L ~now:0.5 "ignored";
       let r = Option.get (Span.find_root t corr) in
       checki "event landed at root" 1 (List.length r.Span.root_events))
 
@@ -105,23 +110,19 @@ let test_slo_fires_on_breach () =
   with_collector (fun t ->
       let breached = ref [] in
       Span.set_slo t ~seconds:1.0 (fun r -> breached := r.Span.corr :: !breached);
-      let fast = Span.mint () in
-      Span.root ~corr:fast ~flow:"fast" ~victim:"V" ~now:0.;
-      Span.complete ~corr:fast ~now:0.5;
-      let slow = Span.mint () in
-      Span.root ~corr:slow ~flow:"slow" ~victim:"V" ~now:0.;
-      Span.complete ~corr:slow ~now:2.0;
-      Span.complete ~corr:slow ~now:9.0;
+      let fast = mint () in
+      Span.root (Some t) ~corr:fast ~flow:"fast" ~victim:"V" ~now:0.;
+      Span.complete (Some t) ~corr:fast ~now:0.5;
+      let slow = mint () in
+      Span.root (Some t) ~corr:slow ~flow:"slow" ~victim:"V" ~now:0.;
+      Span.complete (Some t) ~corr:slow ~now:2.0;
+      Span.complete (Some t) ~corr:slow ~now:9.0;
       (* duplicate completion: first wins, no second callback *)
       checkb "only the slow root breached" true (!breached = [ slow ]);
       let r = Option.get (Span.find_root t slow) in
       checkf "first completion wins" 2.0 (Option.get r.Span.completed_at))
 
 (* --- shard merge ------------------------------------------------------------ *)
-
-let record_into c f =
-  Span.attach c;
-  Fun.protect ~finally:Span.detach f
 
 let shard_collector () =
   let c = Span.create () in
@@ -130,14 +131,14 @@ let shard_collector () =
 
 let test_root_event_ignores_open_spans () =
   with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"f" ~victim:"V" ~now:0.;
-      Span.start ~corr ~stage:Span.Temp_filter ~node:"G" ~now:0.;
-      Span.event ~corr ~now:0.1 "lands in the open span";
+      let corr = mint () in
+      Span.root (Some t) ~corr ~flow:"f" ~victim:"V" ~now:0.;
+      Span.start (Some t) ~corr ~stage:Span.Temp_filter ~node:"G" ~now:0.;
+      Span.event (Some t) ~corr ~now:0.1 "lands in the open span";
       (* root_event must bypass the open span: "newest open span" depends
          on which collector saw which opens, so shard-layout-invariant
          sources (fluid mirror, auditors) pin to the root instead *)
-      Span.root_event ~corr ~now:0.2 "lands at the root";
+      Span.root_event (Some t) ~corr ~now:0.2 "lands at the root";
       let r = Option.get (Span.find_root t corr) in
       checki "root got exactly one" 1 (List.length r.Span.root_events);
       checks "the right one" "lands at the root"
@@ -149,18 +150,18 @@ let test_merge_reunites_orphans () =
   let master = shard_collector () in
   let sa = shard_collector () and sb = shard_collector () in
   (* root + detect live in shard A... *)
-  record_into sa (fun () ->
-      Span.root ~corr:7 ~flow:"a -> v" ~victim:"V" ~now:1.0;
-      Span.start ~corr:7 ~stage:Span.Detect ~node:"V" ~now:1.0;
-      Span.finish ~corr:7 ~stage:Span.Detect ~now:1.1 ());
+  (let sp = Some sa in
+      Span.root sp ~corr:7 ~flow:"a -> v" ~victim:"V" ~now:1.0;
+      Span.start sp ~corr:7 ~stage:Span.Detect ~node:"V" ~now:1.0;
+      Span.finish sp ~corr:7 ~stage:Span.Detect ~now:1.1 ());
   (* ...while the attacker-side stages land in shard B as an orphan
      placeholder, plus a forged id with no real root anywhere *)
-  record_into sb (fun () ->
-      Span.start ~corr:7 ~stage:Span.Verification ~node:"G" ~now:1.2;
-      Span.finish ~corr:7 ~stage:Span.Verification ~now:1.4 ();
-      Span.complete ~corr:7 ~now:1.5;
-      Span.start ~corr:999 ~stage:Span.Request ~node:"X" ~now:2.;
-      Span.finish ~corr:999 ~stage:Span.Request ~now:2.1 ());
+  (let sp = Some sb in
+      Span.start sp ~corr:7 ~stage:Span.Verification ~node:"G" ~now:1.2;
+      Span.finish sp ~corr:7 ~stage:Span.Verification ~now:1.4 ();
+      Span.complete sp ~corr:7 ~now:1.5;
+      Span.start sp ~corr:999 ~stage:Span.Request ~node:"X" ~now:2.;
+      Span.finish sp ~corr:999 ~stage:Span.Request ~now:2.1 ());
   Span.merge_into master [ sa; sb ];
   checki "forged orphan dropped, real root kept" 1
     (List.length (Span.roots master));
@@ -182,16 +183,16 @@ let test_digest_shard_layout_invariant () =
      must produce the same digest: canonical re-keying erases both the
      raw ids and the shard layout *)
   let record ~c1 ~c2 ~(into : int -> Span.t) =
-    record_into (into 0) (fun () ->
-        Span.root ~corr:c1 ~flow:"f1" ~victim:"V" ~now:0.;
-        Span.start ~corr:c1 ~stage:Span.Request ~node:"V" ~now:0.;
-        Span.finish ~corr:c1 ~stage:Span.Request ~now:0.2 ());
-    record_into (into 1) (fun () ->
-        Span.root_event ~corr:c1 ~now:0.3 "fluid-mirror-install";
-        Span.complete ~corr:c1 ~now:0.4;
-        Span.root ~corr:c2 ~flow:"f2" ~victim:"W" ~now:0.1;
-        Span.start ~corr:c2 ~stage:Span.Detect ~node:"W" ~now:0.1;
-        Span.finish ~corr:c2 ~stage:Span.Detect ~now:0.15 ())
+    (let sp = Some (into 0) in
+        Span.root sp ~corr:c1 ~flow:"f1" ~victim:"V" ~now:0.;
+        Span.start sp ~corr:c1 ~stage:Span.Request ~node:"V" ~now:0.;
+        Span.finish sp ~corr:c1 ~stage:Span.Request ~now:0.2 ());
+    (let sp = Some (into 1) in
+        Span.root_event sp ~corr:c1 ~now:0.3 "fluid-mirror-install";
+        Span.complete sp ~corr:c1 ~now:0.4;
+        Span.root sp ~corr:c2 ~flow:"f2" ~victim:"W" ~now:0.1;
+        Span.start sp ~corr:c2 ~stage:Span.Detect ~node:"W" ~now:0.1;
+        Span.finish sp ~corr:c2 ~stage:Span.Detect ~now:0.15 ())
   in
   let seq = Span.create () in
   Span.set_allow_orphans seq true;
@@ -217,13 +218,11 @@ let test_digest_shard_layout_invariant () =
 
 let test_flight_ring_bounds () =
   let f = Flight.create ~capacity:4 in
-  Flight.attach f;
-  Fun.protect ~finally:Flight.detach (fun () ->
-      for i = 1 to 10 do
-        Flight.note ~time:(float_of_int i) ~node:"A" ~link:"A->B"
-          ~kind:(if i mod 2 = 0 then Flight.Enqueue else Flight.Dequeue)
-          ~size:1000 ~queue_depth:i ()
-      done);
+  for i = 1 to 10 do
+    Flight.note f ~time:(float_of_int i) ~node:"A" ~link:"A->B"
+      ~kind:(if i mod 2 = 0 then Flight.Enqueue else Flight.Dequeue)
+      ~size:1000 ~queue_depth:i
+  done;
   checki "total recorded" 10 (Flight.recorded f);
   let rs = Flight.records f in
   checki "ring keeps last 4" 4 (List.length rs);
@@ -231,24 +230,57 @@ let test_flight_ring_bounds () =
   checkf "newest is #10" 10. (List.nth rs 3).Flight.time
 
 let test_flight_note_without_recorder () =
-  Flight.detach ();
-  checkb "disabled" false (Flight.enabled ());
-  (* one branch, no crash *)
-  Flight.note ~time:0. ~node:"A" ~link:"A->B" ~kind:(Flight.Drop "full")
-    ~size:1 ~queue_depth:0 ()
+  (* a world without a recorder: the link's recording sites are one
+     branch that allocates nothing, so an enqueue costs only its queue
+     cell (3 words) and an overflow drop costs nothing *)
+  let sim = Sim.create () in
+  checkb "disabled" true ((Sim.obs sim).Obs.flight = None);
+  let link capacity =
+    let l =
+      Aitf_net.Link.create sim ~name:"A->B" ~bandwidth:1e6 ~delay:0.01
+        ~queue_capacity:capacity
+    in
+    Aitf_net.Link.set_deliver l ignore;
+    l
+  in
+  let pkts =
+    Array.init 200 (fun _ ->
+        Aitf_net.Packet.make
+          ~src:(Aitf_net.Addr.of_octets 10 0 0 1)
+          ~dst:(Aitf_net.Addr.of_octets 10 0 0 2)
+          ~size:200
+          (Aitf_net.Packet.Data { flow_id = 1; attack = false }))
+  in
+  (* words allocated by sending packets 1..199 while packet 0 is still
+     being transmitted (the sim never runs, so the link stays busy) *)
+  let words_of_sends l =
+    Aitf_net.Link.send l pkts.(0);
+    let m0 = Gc.minor_words () in
+    let m1 = Gc.minor_words () in
+    for i = 1 to 199 do
+      Aitf_net.Link.send l pkts.(i)
+    done;
+    let m2 = Gc.minor_words () in
+    m2 -. m1 -. (m1 -. m0)
+  in
+  let queued = link 1_000_000 in
+  checkf "enqueue allocates only its queue cell" (3. *. 199.)
+    (words_of_sends queued);
+  let full = link 100 in
+  checkf "overflow drop allocates nothing" 0. (words_of_sends full);
+  checki "every later packet overflowed" 199
+    (Aitf_net.Link.dropped_packets full)
 
 (* --- engine profiler -------------------------------------------------------- *)
 
 let test_profiler_buckets_by_label () =
   let p = Profile.create () in
-  Profile.attach p;
-  Fun.protect ~finally:Profile.detach (fun () ->
-      let sim = Sim.create () in
-      for i = 1 to 5 do
-        ignore (Sim.after ~label:"tick" sim (float_of_int i) ignore)
-      done;
-      ignore (Sim.after sim 0.5 ignore);
-      Sim.run ~until:10. sim);
+  let sim = Sim.create ~obs:(Obs.create ~profile:p ()) () in
+  for i = 1 to 5 do
+    ignore (Sim.after ~label:"tick" sim (float_of_int i) ignore)
+  done;
+  ignore (Sim.after sim 0.5 ignore);
+  Sim.run ~until:10. sim;
   checki "all events timed" 6 (Profile.events p);
   checkb "peak queue depth seen" true (Profile.peak_pending p >= 5);
   let labels = List.map fst (Profile.buckets p) in
@@ -269,12 +301,9 @@ let two_gw_params =
     attacker_strategy = Policy.Complies;
   }
 
-let run_traced ?(params = two_gw_params) () =
+let run_traced ?metrics ?(params = two_gw_params) () =
   let t = Span.create () in
-  Span.attach t;
-  let r =
-    Fun.protect ~finally:Span.detach (fun () -> Scenarios.run_chain params)
-  in
+  let r = Scenarios.run_chain ~obs:(Obs.create ?metrics ~spans:t ()) params in
   (t, r)
 
 let stage_names root =
@@ -311,13 +340,11 @@ let test_chain_span_forest () =
     (Option.get root.Span.completed_at > root.Span.opened_at)
 
 let test_verification_equals_time_to_filter () =
-  (* run with both a registry and the collector attached: the sum of
+  (* run with both a registry and the collector observing: the sum of
      Verification span durations must equal the sum of every
      gateway.*.time_to_filter observation *)
   let reg = Metrics.create () in
-  let t, _r =
-    Metrics.with_attached reg (fun () -> run_traced ())
-  in
+  let t, _r = run_traced ~metrics:reg () in
   let ttf_count, ttf_sum =
     List.fold_left
       (fun (c, s) name ->
@@ -391,18 +418,79 @@ let test_tracing_does_not_perturb () =
   let untraced = Scenarios.run_chain params in
   let t, traced = run_traced ~params () in
   let flight = Flight.create ~capacity:64 in
-  Flight.attach flight;
   let traced_and_recorded =
-    Fun.protect ~finally:Flight.detach (fun () ->
-        let t2 = Span.create () in
-        Span.attach t2;
-        Fun.protect ~finally:Span.detach (fun () -> Scenarios.run_chain params))
+    Scenarios.run_chain
+      ~obs:(Obs.create ~spans:(Span.create ()) ~flight ())
+      params
   in
   checkb "span forest non-trivial" true (Span.roots t <> []);
   checkb "flight recorder saw traffic" true (Flight.recorded flight > 0);
   checkb "traced = untraced" true (digest untraced = digest traced);
   checkb "traced+flight = untraced" true
     (digest untraced = digest traced_and_recorded)
+
+(* --- isolation: one observer context per world --------------------------- *)
+
+(* The Figure-1 chain (depth 1), complying attacker, on a world observed
+   by [obs]. *)
+let chain_world obs =
+  let sim = Sim.create ~obs () in
+  let config = two_gw_params.Scenarios.config in
+  let rng = Aitf_engine.Rng.create ~seed:1 in
+  let topo = Chain.build sim { Chain.default_spec with Chain.depth = 1 } in
+  let d = Chain.deploy ~attacker_strategy:Policy.Complies ~config ~rng topo in
+  let (_ : Aitf_workload.Traffic.t) =
+    Aitf_workload.Traffic.cbr
+      ~gate:(Host_agent.Attacker.gate d.Chain.attacker_agent)
+      ~start:1.0 ~attack:true ~flow_id:1 ~rate:2e6
+      ~dst:topo.Chain.victim.Aitf_net.Node.addr topo.Chain.net
+      topo.Chain.attacker
+  in
+  sim
+
+let observed () =
+  let spans = Span.create () and flight = Flight.create ~capacity:256 in
+  let metrics = Metrics.create () in
+  (Obs.create ~metrics ~spans ~flight (), spans, flight, metrics)
+
+let fingerprint (spans, flight, metrics) =
+  ( Span.digest spans,
+    List.map (fun r -> r.Span.corr) (Span.roots spans),
+    Flight.recorded flight,
+    Flight.records flight,
+    Metrics.snapshot metrics )
+
+let test_two_worlds_stepped_alternately () =
+  let until = 6. in
+  let alone =
+    let obs, spans, flight, metrics = observed () in
+    Sim.run ~until (chain_world obs);
+    fingerprint (spans, flight, metrics)
+  in
+  (* the same observed world again, interleaved event by event with an
+     unobserved twin that has the same node names and mints the same
+     correlation ids in its own world *)
+  let obs, spans, flight, metrics = observed () in
+  let a = chain_world obs and b = chain_world (Obs.create ()) in
+  let step sim =
+    match Sim.next_time sim with
+    | Some t when t <= until -> Sim.step sim
+    | _ -> false
+  in
+  let rec go () =
+    let sa = step a in
+    let sb = step b in
+    if sa || sb then go ()
+  in
+  go ();
+  Sim.run ~until a;
+  Sim.run ~until b;
+  checkb "the twin ran too" true (Sim.events_processed b > 0);
+  checkb "the observed world traced a request" true (Span.roots spans <> []);
+  checki "its correlation ids start at 1" 1
+    (List.hd (Span.roots spans)).Span.corr;
+  checkb "its observers hold only its own records" true
+    (fingerprint (spans, flight, metrics) = alone)
 
 let () =
   Alcotest.run "aitf_span"
@@ -447,5 +535,10 @@ let () =
             test_chrome_trace_is_valid_json;
           Alcotest.test_case "tracing does not perturb the run" `Slow
             test_tracing_does_not_perturb;
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "two worlds stepped alternately" `Quick
+            test_two_worlds_stepped_alternately;
         ] );
     ]
