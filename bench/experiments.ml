@@ -20,6 +20,8 @@ open Aitf_topo
 module Traffic = Aitf_workload.Traffic
 module Request_driver = Aitf_workload.Request_driver
 module Scenarios = Aitf_workload.Scenarios
+module As_scenario = Aitf_workload.As_scenario
+module Runner = Aitf_workload.Runner
 module Formulas = Aitf_model.Formulas
 module Pushback = Aitf_pushback.Pushback
 
@@ -69,6 +71,59 @@ let emit table =
     let oc = open_out file in
     output_string oc (Table.to_csv table);
     close_out oc
+
+(* Run a scenario spec, timed on the process wall clock (main.ml installs
+   it at start-up). *)
+let timed ?obs spec =
+  let clock = Aitf_parallel.Sched.default_clock () in
+  let t0 = clock () in
+  let o = Runner.run ?obs spec in
+  (o.Runner.result, clock () -. t0)
+
+(* A table whose rows carry their own column headers: [(header, cell)]. *)
+let table ~title rows =
+  let t =
+    Table.create ~title
+      ~columns:(match rows with r :: _ -> List.map fst r | [] -> [])
+  in
+  List.iter (fun r -> Table.add_row t (List.map snd r)) rows;
+  emit t
+
+(* A sweep printed as a table and returned as the rows of its BENCH_*.json
+   report, each row written once: a column is [(header, key, json, cell)],
+   and a column with the empty header is JSON-only. *)
+let sweep ~title rows =
+  table ~title
+    (List.map
+       (List.filter_map (fun (h, _, _, c) -> if h = "" then None else Some (h, c)))
+       rows);
+  List.map
+    (fun r -> Aitf_obs.Json.Obj (List.map (fun (_, k, j, _) -> (k, j)) r))
+    rows
+
+(* Integer knobs from the environment: [clamp] a parsable value, else
+   [default]; a comma-separated list keeps its parsable items. *)
+let env_int name ~default clamp =
+  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
+  | Some v -> clamp v
+  | None -> default
+
+let env_ints name ~default =
+  match Sys.getenv_opt name with
+  | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
+  | None -> default
+
+(* The Internet-scale default run on the hybrid engine — the scenario
+   E18, E21 and E22 sweep. *)
+let internet ?(placement = Placement.Vanilla) ?(shards = 1) sources =
+  Runner.Internet
+    {
+      As_scenario.default with
+      As_scenario.as_config =
+        { Config.default with Config.engine = Config.Hybrid; placement };
+      as_sources = sources;
+      as_shards = shards;
+    }
 
 (* Default experiment timescale: T = 6 s so that multi-cycle runs finish
    quickly; resource experiments state their own rates against this T. *)
@@ -156,32 +211,27 @@ let f1 () =
 let e1 () =
   let tr = Chain.default_spec.Chain.access_delay in
   let td = chain_params.Scenarios.td in
-  let table =
-    Table.create
-      ~title:
-        "E1  effective bandwidth ratio r vs T   (n = 1: attacker ignores, \
-         gateways cooperate)"
-      ~columns:
-        [ "T (s)"; "r paper = (Td+Tr)/T"; "r measured"; "requests"; "escalations" ]
-  in
-  List.iter
-    (fun t_filter ->
-      let config = { cfg with Config.t_filter } in
-      let r =
-        Scenarios.run_chain
-          { chain_params with Scenarios.config; duration = 10. *. t_filter }
-      in
-      Table.add_row table
-        [
-          Table.cell_float t_filter;
-          Table.cell_float ~digits:3
-            (Formulas.effective_bandwidth_ratio ~n:1 ~td ~tr ~t_filter);
-          Table.cell_float ~digits:3 r.Scenarios.r_measured;
-          Table.cell_int r.Scenarios.requests_sent;
-          Table.cell_int r.Scenarios.escalations;
-        ])
-    [ 3.; 6.; 15.; 30.; 60. ];
-  emit table;
+  table
+    ~title:
+      "E1  effective bandwidth ratio r vs T   (n = 1: attacker ignores, \
+       gateways cooperate)"
+    (List.map
+       (fun t_filter ->
+         let config = { cfg with Config.t_filter } in
+         let r =
+           Scenarios.run_chain
+             { chain_params with Scenarios.config; duration = 10. *. t_filter }
+         in
+         [
+           ("T (s)", Table.cell_float t_filter);
+           ( "r paper = (Td+Tr)/T",
+             Table.cell_float ~digits:3
+               (Formulas.effective_bandwidth_ratio ~n:1 ~td ~tr ~t_filter) );
+           ("r measured", Table.cell_float ~digits:3 r.Scenarios.r_measured);
+           ("requests", Table.cell_int r.Scenarios.requests_sent);
+           ("escalations", Table.cell_int r.Scenarios.escalations);
+         ])
+       [ 3.; 6.; 15.; 30.; 60. ]);
   (* The paper's worked example at full scale: Tr = 50 ms, T = 60 s. *)
   let example =
     Table.create ~title:"E1  paper worked example (T = 60 s, Tr = 50 ms)"
@@ -200,45 +250,32 @@ let e1 () =
       Table.cell_float ~digits:2 r.Scenarios.r_measured;
     ];
   emit example;
-  let sweep_n =
-    Table.create
-      ~title:
-        "E1  r vs n   (on-off attacker, n-1 unresponsive gateways; T = 6 s)"
-      ~columns:
-        [
-          "n (non-cooperating)";
-          "r paper bound = n(Td+Tr)/T";
-          "r measured";
-          "escalations / cycle";
-        ]
-  in
-  List.iter
-    (fun n ->
-      let r =
-        Scenarios.run_chain
-          {
-            chain_params with
-            Scenarios.n_non_coop_gws = n - 1;
-            attacker_strategy =
-              (if n = 1 then Policy.Ignores
-               else Policy.On_off { off_time = cfg.Config.t_tmp +. 0.2 });
-          }
-      in
-      let cycles =
-        chain_params.Scenarios.duration /. cfg.Config.t_filter
-      in
-      Table.add_row sweep_n
-        [
-          Table.cell_int n;
-          Table.cell_float ~digits:3
-            (Formulas.effective_bandwidth_ratio ~n ~td ~tr
-               ~t_filter:cfg.Config.t_filter);
-          Table.cell_float ~digits:3 r.Scenarios.r_measured;
-          Table.cell_float ~digits:2
-            (float_of_int r.Scenarios.escalations /. cycles);
-        ])
-    [ 1; 2; 3 ];
-  emit sweep_n;
+  table ~title:"E1  r vs n   (on-off attacker, n-1 unresponsive gateways; T = 6 s)"
+    (List.map
+       (fun n ->
+         let r =
+           Scenarios.run_chain
+             {
+               chain_params with
+               Scenarios.n_non_coop_gws = n - 1;
+               attacker_strategy =
+                 (if n = 1 then Policy.Ignores
+                  else Policy.On_off { off_time = cfg.Config.t_tmp +. 0.2 });
+             }
+         in
+         let cycles = chain_params.Scenarios.duration /. cfg.Config.t_filter in
+         [
+           ("n (non-cooperating)", Table.cell_int n);
+           ( "r paper bound = n(Td+Tr)/T",
+             Table.cell_float ~digits:3
+               (Formulas.effective_bandwidth_ratio ~n ~td ~tr
+                  ~t_filter:cfg.Config.t_filter) );
+           ("r measured", Table.cell_float ~digits:3 r.Scenarios.r_measured);
+           ( "escalations / cycle",
+             Table.cell_float ~digits:2
+               (float_of_int r.Scenarios.escalations /. cycles) );
+         ])
+       [ 1; 2; 3 ]);
   print_endline
     "Note: the simulator's gateways escalate off the shadow cache the moment\n\
      a flow reappears, so measured r sits below the paper's per-level\n\
@@ -500,79 +537,64 @@ let e5 () =
    node when k gateways refuse; time to relief grows with k but stays
    bounded. *)
 let e6 () =
-  let table =
-    Table.create
-      ~title:"E6  escalation vs non-cooperating gateways   (on-off attacker)"
-      ~columns:
-        [
-          "unresponsive gws k";
-          "paper: blocked at";
-          "blocked at (measured)";
-          "rounds used";
-          "time to first relief (s)";
-          "r measured";
-        ]
-  in
-  List.iter
-    (fun k ->
-      let r =
-        Scenarios.run_chain
-          {
-            chain_params with
-            Scenarios.n_non_coop_gws = k;
-            attacker_strategy =
-              (if k = 0 then Policy.Ignores
-               else Policy.On_off { off_time = cfg.Config.t_tmp +. 0.2 });
-            duration = 30.;
-          }
-      in
-      let d = r.Scenarios.deployed in
-      let blocked_at =
-        let attacker_side =
-          List.mapi
-            (fun i gw -> (Printf.sprintf "B_gw%d" (i + 1), gw))
-            d.Chain.attacker_gateways
-        in
-        let victim_side =
-          List.mapi
-            (fun i gw -> (Printf.sprintf "G_gw%d" (i + 1), gw))
-            d.Chain.victim_gateways
-        in
-        match
-          List.find_opt
-            (fun (_, gw) ->
-              Counter.get (Gateway.counters gw) "filter-long" > 0
-              || Counter.get (Gateway.counters gw) "filter-long-self" > 0)
-            (attacker_side @ List.rev victim_side)
-        with
-        | Some (name, _) -> name
-        | None -> "nowhere"
-      in
-      let expected =
-        if k < 3 then Printf.sprintf "B_gw%d" (k + 1) else "G_gw3 (terminal)"
-      in
-      let tts =
-        match Scenarios.time_to_suppress r ~threshold:0.05 with
-        | Some t -> Printf.sprintf "%.2f" (t -. chain_params.Scenarios.attack_start)
-        | None -> "never"
-      in
-      let cycles = 30. /. cfg.Config.t_filter in
-      let rounds =
-        1
-        + int_of_float
-            (Float.round (float_of_int r.Scenarios.escalations /. cycles))
-      in
-      Table.add_row table
-        [
-          Table.cell_int k;
-          expected;
-          blocked_at;
-          Table.cell_int rounds;
-          tts;
-          Table.cell_float ~digits:3 r.Scenarios.r_measured;
-        ])
-    [ 0; 1; 2; 3 ];
-  emit table
+  table ~title:"E6  escalation vs non-cooperating gateways   (on-off attacker)"
+    (List.map
+       (fun k ->
+         let r =
+           Scenarios.run_chain
+             {
+               chain_params with
+               Scenarios.n_non_coop_gws = k;
+               attacker_strategy =
+                 (if k = 0 then Policy.Ignores
+                  else Policy.On_off { off_time = cfg.Config.t_tmp +. 0.2 });
+               duration = 30.;
+             }
+         in
+         let d = r.Scenarios.deployed in
+         let blocked_at =
+           let attacker_side =
+             List.mapi
+               (fun i gw -> (Printf.sprintf "B_gw%d" (i + 1), gw))
+               d.Chain.attacker_gateways
+           in
+           let victim_side =
+             List.mapi
+               (fun i gw -> (Printf.sprintf "G_gw%d" (i + 1), gw))
+               d.Chain.victim_gateways
+           in
+           match
+             List.find_opt
+               (fun (_, gw) ->
+                 Counter.get (Gateway.counters gw) "filter-long" > 0
+                 || Counter.get (Gateway.counters gw) "filter-long-self" > 0)
+               (attacker_side @ List.rev victim_side)
+           with
+           | Some (name, _) -> name
+           | None -> "nowhere"
+         in
+         let tts =
+           match Scenarios.time_to_suppress r ~threshold:0.05 with
+           | Some t ->
+             Printf.sprintf "%.2f" (t -. chain_params.Scenarios.attack_start)
+           | None -> "never"
+         in
+         let cycles = 30. /. cfg.Config.t_filter in
+         [
+           ("unresponsive gws k", Table.cell_int k);
+           ( "paper: blocked at",
+             if k < 3 then Printf.sprintf "B_gw%d" (k + 1) else "G_gw3 (terminal)" );
+           ("blocked at (measured)", blocked_at);
+           ( "rounds used",
+             Table.cell_int
+               (1
+               + int_of_float
+                   (Float.round (float_of_int r.Scenarios.escalations /. cycles)))
+           );
+           ("time to first relief (s)", tts);
+           ("r measured", Table.cell_float ~digits:3 r.Scenarios.r_measured);
+         ])
+       [ 0; 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ E7 -- *)
 
@@ -670,21 +692,6 @@ let e8 () =
   let spec =
     { Chain.default_spec with Chain.tail_bw = 1e6; attacker_tail_bw = 1e7 }
   in
-  let measure sim topo =
-    let legit = ref 0. and attack = ref 0. in
-    let victim = topo.Chain.victim in
-    let prev = victim.Node.local_deliver in
-    victim.Node.local_deliver <-
-      (fun node (pkt : Packet.t) ->
-        (match pkt.Packet.payload with
-        | Packet.Data { attack = true; _ } ->
-          attack := !attack +. float_of_int pkt.Packet.size
-        | Packet.Data _ -> legit := !legit +. float_of_int pkt.Packet.size
-        | _ -> ());
-        prev node pkt);
-    ignore sim;
-    (legit, attack)
-  in
   let traffic ?gate topo =
     ignore
       (Traffic.cbr ~start:0. ~flow_id:2 ~rate:legit_rate
@@ -696,10 +703,10 @@ let e8 () =
   (* none *)
   let sim = Sim.create () in
   let topo = Chain.build sim spec in
-  let legit0, attack0 = measure sim topo in
+  let delivered = Traffic.count_delivered topo.Chain.victim in
   traffic topo;
   Sim.run ~until:duration sim;
-  let base = (!legit0, !attack0, 0, 0, 0) in
+  let base = (delivered ~attack:false, delivered ~attack:true, 0, 0, 0) in
   (* aitf — the victim agent already meters good/attack bytes, and its
      delivery handler shadows any wrapper installed before deployment. *)
   let sim = Sim.create () in
@@ -728,15 +735,15 @@ let e8 () =
   (* pushback *)
   let sim = Sim.create () in
   let topo = Chain.build sim spec in
-  let legit2, attack2 = measure sim topo in
+  let delivered = Traffic.count_delivered topo.Chain.victim in
   let pb =
     Pushback.deploy topo.Chain.net (topo.Chain.victim_gws @ topo.Chain.attacker_gws)
   in
   traffic topo;
   Sim.run ~until:duration sim;
   let push =
-    ( !legit2,
-      !attack2,
+    ( delivered ~attack:false,
+      delivered ~attack:true,
       Pushback.routers_limiting pb,
       Pushback.messages_sent pb,
       Pushback.limiters_installed pb )
@@ -818,15 +825,7 @@ let e9 () =
       let (_ : Host_agent.Victim.t) =
         Hierarchy.attach_victim ~td:0.05 d ~config:cfg ~isp:0 ~net:0 ~host:0
       in
-      let legit = ref 0. in
-      let prev = victim_node.Node.local_deliver in
-      victim_node.Node.local_deliver <-
-        (fun node (pkt : Packet.t) ->
-          (match pkt.Packet.payload with
-          | Packet.Data { attack = false; _ } ->
-            legit := !legit +. float_of_int pkt.Packet.size
-          | _ -> ());
-          prev node pkt);
+      let delivered = Traffic.count_delivered victim_node in
       (* Legit flow from the same enterprise. *)
       ignore
         (Traffic.cbr ~start:0. ~flow_id:1 ~rate:2e5 ~dst:victim_node.Node.addr
@@ -875,7 +874,7 @@ let e9 () =
           Table.cell_int max_leaf;
           Table.cell_int isp_filters;
           "0 (core runs no AITF)";
-          Printf.sprintf "%.0f%%" (pct !legit offered);
+          Printf.sprintf "%.0f%%" (pct (delivered ~attack:false) offered);
         ])
     [ 2; 4; 8 ];
   emit table;
@@ -1612,15 +1611,7 @@ let e14 () =
       | `None | `Aitf -> None
     in
     (* Count attack bytes at the victim node (below any agent). *)
-    let received = ref 0. in
-    let prev = topo.Chain.victim.Node.local_deliver in
-    topo.Chain.victim.Node.local_deliver <-
-      (fun node (pkt : Packet.t) ->
-        (match pkt.Packet.payload with
-        | Packet.Data { attack = true; _ } ->
-          received := !received +. float_of_int pkt.Packet.size
-        | _ -> ());
-        prev node pkt);
+    let delivered = Traffic.count_delivered topo.Chain.victim in
     let shifter =
       Aitf_workload.Shape_shifter.create ~pool ~shift_period ~start:1.
         ?gate:
@@ -1640,7 +1631,7 @@ let e14 () =
       | _, Some m -> Aitf_workload.Manual_defense.filters_installed m
       | _ -> 0
     in
-    ( 100. *. !received /. offered,
+    ( 100. *. delivered ~attack:true /. offered,
       Aitf_workload.Shape_shifter.shapes_used shifter,
       filters )
   in
@@ -1857,11 +1848,6 @@ let e16 () =
    The sweep's largest population is capped by E17_MAX_SOURCES (CI runs
    the smaller configs; the default reaches 10^6). *)
 
-let e17_max_sources () =
-  match Sys.getenv_opt "E17_MAX_SOURCES" with
-  | Some s -> ( try max 1000 (int_of_string s) with Failure _ -> 1_000_000)
-  | None -> 1_000_000
-
 let e17 () =
   let tolerance = 0.10 in
   let agree =
@@ -1934,24 +1920,6 @@ let e17 () =
     ];
   emit agree;
   (* (b) population scaling under the fluid plane. *)
-  let sweep =
-    Table.create
-      ~title:
-        "E17  hybrid scaling   (20 Mbit/s total over N spoofed sources, 8 \
-         pools, 30 s simulated)"
-      ~columns:
-        [
-          "sources";
-          "wall-clock (s)";
-          "peak heap (MB)";
-          "events";
-          "events/sim-s";
-          "filters";
-          "requests";
-          "tts (s)";
-          "good recv (MB)";
-        ]
-  in
   (* The swarm spoofs from /12 pools, so per-source filters can never cover
      the population — exactly the regime the overload manager's prefix
      aggregation exists for. Enable it so the sweep shows AITF actually
@@ -1968,64 +1936,67 @@ let e17 () =
       filter_capacity = 128;
     }
   in
-  let cap = e17_max_sources () in
-  List.iter
-    (fun n ->
-      if n <= cap then begin
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Scenarios.run_swarm
-            {
-              Scenarios.default_swarm with
-              Scenarios.swarm_config = hybrid_cfg;
-              swarm_sources = n;
-              swarm_pools = 8;
-              swarm_attack_rate = 20e6;
-              swarm_legit_rate = 1e6;
-              swarm_duration = 30.;
-            }
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        let heap_mb =
-          float_of_int (Gc.quick_stat ()).Gc.top_heap_words
-          *. float_of_int (Sys.word_size / 8)
-          /. 1e6
-        in
-        let tts =
-          let limit = 0.05 *. 20e6 in
-          let start = r.Scenarios.swarm_params.Scenarios.swarm_attack_start in
-          let points =
-            List.filter
-              (fun (t, _) -> t >= start)
-              (Aitf_stats.Series.points r.Scenarios.swarm_victim_rate)
-          in
-          let rec drop_until_seen = function
-            | (_, v) :: rest when v < limit -> drop_until_seen rest
-            | pts -> pts
-          in
-          match
-            List.find_opt (fun (_, v) -> v < limit) (drop_until_seen points)
-          with
-          | Some (t, _) -> Printf.sprintf "%.2f" (t -. start)
-          | None -> "never"
-        in
-        Table.add_row sweep
-          [
-            string_of_int n;
-            Printf.sprintf "%.2f" wall;
-            Printf.sprintf "%.1f" heap_mb;
-            string_of_int r.Scenarios.swarm_events;
-            Printf.sprintf "%.0f"
-              (float_of_int r.Scenarios.swarm_events /. 30.);
-            string_of_int r.Scenarios.swarm_filters;
-            string_of_int r.Scenarios.swarm_requests_sent;
-            tts;
-            Printf.sprintf "%.2f"
-              (r.Scenarios.swarm_good_received_bytes /. 1e6);
-          ]
-      end)
-    [ 1_000; 10_000; 100_000; 1_000_000 ];
-  emit sweep
+  let cap = env_int "E17_MAX_SOURCES" ~default:1_000_000 (max 1000) in
+  table
+    ~title:
+      "E17  hybrid scaling   (20 Mbit/s total over N spoofed sources, 8 \
+       pools, 30 s simulated)"
+    (List.filter_map
+       (fun n ->
+         if n > cap then None
+         else begin
+           let r, wall =
+             timed
+               (Runner.Swarm
+                  {
+                    Scenarios.default_swarm with
+                    Scenarios.swarm_config = hybrid_cfg;
+                    swarm_sources = n;
+                    swarm_pools = 8;
+                    swarm_attack_rate = 20e6;
+                    swarm_legit_rate = 1e6;
+                    swarm_duration = 30.;
+                  })
+           in
+           let heap_mb =
+             float_of_int (Gc.quick_stat ()).Gc.top_heap_words
+             *. float_of_int (Sys.word_size / 8)
+             /. 1e6
+           in
+           let tts =
+             let limit = 0.05 *. 20e6 in
+             let start = r.Scenarios.swarm_params.Scenarios.swarm_attack_start in
+             let points =
+               List.filter
+                 (fun (t, _) -> t >= start)
+                 (Aitf_stats.Series.points r.Scenarios.swarm_victim_rate)
+             in
+             let rec drop_until_seen = function
+               | (_, v) :: rest when v < limit -> drop_until_seen rest
+               | pts -> pts
+             in
+             match
+               List.find_opt (fun (_, v) -> v < limit) (drop_until_seen points)
+             with
+             | Some (t, _) -> Printf.sprintf "%.2f" (t -. start)
+             | None -> "never"
+           in
+           let events = r.Scenarios.swarm_events in
+           Some
+             [
+               ("sources", string_of_int n);
+               ("wall-clock (s)", Printf.sprintf "%.2f" wall);
+               ("peak heap (MB)", Printf.sprintf "%.1f" heap_mb);
+               ("events", string_of_int events);
+               ("events/sim-s", Printf.sprintf "%.0f" (float_of_int events /. 30.));
+               ("filters", string_of_int r.Scenarios.swarm_filters);
+               ("requests", string_of_int r.Scenarios.swarm_requests_sent);
+               ("tts (s)", tts);
+               ( "good recv (MB)",
+                 Printf.sprintf "%.2f" (r.Scenarios.swarm_good_received_bytes /. 1e6) );
+             ]
+         end)
+       [ 1_000; 10_000; 100_000; 1_000_000 ])
 
 (* ----------------------------------------------------------------- E18 -- *)
 
@@ -2049,70 +2020,44 @@ let e17 () =
    The largest population is capped by E18_MAX_SOURCES (CI runs 10^5; the
    default reaches the paper-scale 10^6). *)
 
-let e18_max_sources () =
-  match Sys.getenv_opt "E18_MAX_SOURCES" with
-  | Some s -> ( try max 10_000 (int_of_string s) with Failure _ -> 1_000_000)
-  | None -> 1_000_000
-
 let e18 () =
-  let module As_scenario = Aitf_workload.As_scenario in
-  let table =
-    Table.create
-      ~title:
-        "E18  filter placement at Internet scale   (1000 domains, 40 attack \
-         domains, 200 Mbit/s attack vs 100 Mbit/s victim tail, 30 s)"
-      ~columns:
-        [
-          "sources";
-          "policy";
-          "tts (s)";
-          "collateral %";
-          "slots peak";
-          "installs";
-          "reports";
-          "events";
-          "wall (s)";
-        ]
+  let cap = env_int "E18_MAX_SOURCES" ~default:1_000_000 (max 10_000) in
+  let specs =
+    List.concat_map
+      (fun n ->
+        if n > cap then []
+        else
+          List.map
+            (fun placement -> internet ~placement n)
+            Placement.all_policies)
+      [ 100_000; 1_000_000 ]
   in
-  let cap = e18_max_sources () in
-  List.iter
-    (fun n ->
-      if n <= cap then
-        List.iter
-          (fun policy ->
-            let t0 = Unix.gettimeofday () in
-            let r =
-              As_scenario.run
-                {
-                  As_scenario.default with
-                  As_scenario.as_config =
-                    {
-                      Config.default with
-                      Config.engine = Config.Hybrid;
-                      placement = policy;
-                    };
-                  as_sources = n;
-                }
-            in
-            let wall = Unix.gettimeofday () -. t0 in
-            Table.add_row table
-              [
-                string_of_int n;
-                Placement.policy_to_string policy;
-                (match r.As_scenario.r_time_to_filter with
-                | Some t -> Printf.sprintf "%.2f" t
-                | None -> "never");
-                Printf.sprintf "%.1f"
-                  (100. *. r.As_scenario.r_collateral_fraction);
-                string_of_int r.As_scenario.r_slots_peak;
-                string_of_int r.As_scenario.r_filters_installed;
-                string_of_int r.As_scenario.r_reports;
-                string_of_int r.As_scenario.r_events;
-                Printf.sprintf "%.2f" wall;
-              ])
-          Placement.all_policies)
-    [ 100_000; 1_000_000 ];
-  emit table
+  table
+    ~title:
+      "E18  filter placement at Internet scale   (1000 domains, 40 attack \
+       domains, 200 Mbit/s attack vs 100 Mbit/s victim tail, 30 s)"
+    (List.map
+       (fun spec ->
+         let r, wall = timed spec in
+         let p = r.As_scenario.r_params in
+         let int header n = (header, string_of_int n) in
+         [
+           int "sources" p.As_scenario.as_sources;
+           ( "policy",
+             Placement.policy_to_string p.As_scenario.as_config.Config.placement );
+           ( "tts (s)",
+             match r.As_scenario.r_time_to_filter with
+             | Some t -> Printf.sprintf "%.2f" t
+             | None -> "never" );
+           ( "collateral %",
+             Printf.sprintf "%.1f" (100. *. r.As_scenario.r_collateral_fraction) );
+           int "slots peak" r.As_scenario.r_slots_peak;
+           int "installs" r.As_scenario.r_filters_installed;
+           int "reports" r.As_scenario.r_reports;
+           int "events" r.As_scenario.r_events;
+           ("wall (s)", Printf.sprintf "%.2f" wall);
+         ])
+       specs)
 
 (* The golden-trace differential matrix as a perf trajectory
    (lib/workload/matrix.ml, docs/GOLDENS.md). Every cell of the
@@ -2138,50 +2083,8 @@ let e19 () =
     | Some d -> d
     | None -> "test/goldens"
   in
-  let s = Matrix.run ~clock:Unix.gettimeofday ~smoke ~goldens_dir () in
-  let table =
-    Table.create
-      ~title:"E19  golden-trace matrix: perf trajectory per cell"
-      ~columns:
-        [ "cell"; "golden"; "wall (s)"; "alloc MB"; "peak queue"; "events" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row table
-        [
-          r.Matrix.cr_cell.Matrix.id;
-          (match r.Matrix.cr_status with
-          | Matrix.Match -> "match"
-          | Matrix.Drift -> "DRIFT"
-          | Matrix.Missing -> "missing"
-          | Matrix.Blessed -> "blessed");
-          Printf.sprintf "%.3f" r.Matrix.cr_perf.Matrix.wall;
-          Printf.sprintf "%.1f" (r.Matrix.cr_perf.Matrix.alloc_bytes /. 1e6);
-          string_of_int r.Matrix.cr_perf.Matrix.peak_queue;
-          string_of_int r.Matrix.cr_perf.Matrix.engine_events;
-        ])
-    s.Matrix.s_results;
-  emit table;
-  let agree =
-    Table.create
-      ~title:"E19  matrix-wide engine agreement   (E17 gate, 10% on goodput)"
-      ~columns:[ "pair"; "metric"; "packet"; "hybrid"; "diff %"; "verdict" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row agree
-        [
-          p.Matrix.pr_base;
-          p.Matrix.pr_metric;
-          Printf.sprintf "%.0f" p.Matrix.pr_packet;
-          Printf.sprintf "%.0f" p.Matrix.pr_hybrid;
-          Printf.sprintf "%.1f" (100. *. p.Matrix.pr_diff);
-          (if not p.Matrix.pr_gated then "info"
-           else if p.Matrix.pr_ok then "AGREE"
-           else "DISAGREE");
-        ])
-    s.Matrix.s_pairs;
-  emit agree;
+  let s = Matrix.run ~smoke ~goldens_dir () in
+  List.iter emit (Matrix.tables s);
   Aitf_obs.Report.write_json "BENCH_E19.json" (Matrix.bench_json s);
   Printf.printf "wrote BENCH_E19.json  (%d cells, %d drifted, %d gated disagreements)\n"
     (List.length s.Matrix.s_results)
@@ -2209,128 +2112,64 @@ let e19 () =
      all-honest baseline (ratio >= 0.9). *)
 
 let e20 () =
-  let module As_scenario = Aitf_workload.As_scenario in
-  let module As_graph = Aitf_topo.As_graph in
-  let module Auditor = Aitf_contract.Auditor in
-  let module Adversary = Aitf_adversary.Adversary in
   let module Json = Aitf_obs.Json in
-  let table =
-    Table.create
-      ~title:
-        "E20  verifiable contracts vs Byzantine gateways   (60 domains, 8 \
-         attack domains, forge mode, audit 0.75/0.35 s)"
-      ~columns:
-        [
-          "byz %";
-          "corrupted";
-          "flagged";
-          "missed";
-          "false pos";
-          "failovers";
-          "tts (s)";
-          "goodput MB";
-          "ratio";
-          "wall (s)";
-        ]
+  let runs =
+    List.map
+      (fun f ->
+        timed
+          (Runner.Internet
+             {
+               As_scenario.contract_regime with
+               As_scenario.as_byzantine_fraction = f;
+             }))
+      [ 0.; 0.1; 0.2; 0.3 ]
   in
-  let run_fraction f =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      As_scenario.run
-        {
-          As_scenario.default with
-          As_scenario.as_spec =
-            { As_graph.default_spec with As_graph.domains = 60 };
-          as_config =
-            {
-              Config.default with
-              Config.engine = Config.Hybrid;
-              filter_capacity = 150;
-            };
-          as_seed = 42;
-          as_duration = 15.;
-          as_sources = 400;
-          as_attack_domains = 8;
-          as_legit_domains = 4;
-          as_contracts = true;
-          as_byzantine_fraction = f;
-          as_lying_mode = Adversary.Forge;
-          as_audit =
-            { Auditor.default_config with deadline = 0.75; grace = 0.35 };
-        }
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let fractions = [ 0.; 0.1; 0.2; 0.3 ] in
-  let runs = List.map (fun f -> (f, run_fraction f)) fractions in
   let baseline_goodput =
     match runs with
-    | (_, (r0, _)) :: _ -> r0.As_scenario.r_good_received_bytes
+    | (r0, _) :: _ -> r0.As_scenario.r_good_received_bytes
     | [] -> 0.
   in
   let rows =
-    List.map
-      (fun (f, (r, wall)) ->
-        let byz = List.map snd r.As_scenario.r_byzantine in
-        let flagged =
-          match r.As_scenario.r_auditor with
-          | Some a -> Auditor.flagged a
-          | None -> []
-        in
-        let missed =
-          List.filter (fun b -> not (List.mem b flagged)) byz
-        in
-        let false_pos =
-          List.filter (fun g -> not (List.mem g byz)) flagged
-        in
-        let goodput = r.As_scenario.r_good_received_bytes in
-        let ratio =
-          if baseline_goodput <= 0. then 0. else goodput /. baseline_goodput
-        in
-        Table.add_row table
-          [
-            Printf.sprintf "%.0f" (100. *. f);
-            string_of_int (List.length byz);
-            string_of_int (List.length flagged);
-            string_of_int (List.length missed);
-            string_of_int (List.length false_pos);
-            string_of_int r.As_scenario.r_failovers;
-            (match r.As_scenario.r_time_to_filter with
-            | Some t -> Printf.sprintf "%.2f" t
-            | None -> "never");
-            Printf.sprintf "%.2f" (goodput /. 1e6);
-            Printf.sprintf "%.3f" ratio;
-            Printf.sprintf "%.2f" wall;
-          ];
-        Json.Obj
-          [
-            ("byzantine_fraction", Json.Float f);
-            ("corrupted", Json.Int (List.length byz));
-            ("flagged", Json.Int (List.length flagged));
-            ("missed", Json.Int (List.length missed));
-            ("false_positives", Json.Int (List.length false_pos));
-            ("failovers", Json.Int r.As_scenario.r_failovers);
-            ( "time_to_filter",
-              match r.As_scenario.r_time_to_filter with
-              | Some t -> Json.Float t
-              | None -> Json.Null );
-            ("good_received_bytes", Json.Float goodput);
-            ("goodput_ratio", Json.Float ratio);
-            ( "receipts_verified",
-              Json.Int
-                (match r.As_scenario.r_auditor with
-                | Some a -> Auditor.receipts_verified a
-                | None -> 0) );
-            ( "receipts_rejected",
-              Json.Int
-                (match r.As_scenario.r_auditor with
-                | Some a -> Auditor.receipts_rejected a
-                | None -> 0) );
-            ("wall_seconds", Json.Float wall);
-          ])
-      runs
+    sweep
+      ~title:
+        "E20  verifiable contracts vs Byzantine gateways   (60 domains, 8 \
+         attack domains, forge mode, audit 0.75/0.35 s)"
+      (List.map
+         (fun (r, wall) ->
+           let f = r.As_scenario.r_params.As_scenario.as_byzantine_fraction in
+           let v = Option.get (As_scenario.verdict r) in
+           let count header key l =
+             let n = List.length l in
+             (header, key, Json.Int n, string_of_int n)
+           in
+           let goodput = r.As_scenario.r_good_received_bytes in
+           let ratio =
+             if baseline_goodput <= 0. then 0. else goodput /. baseline_goodput
+           in
+           let tts = r.As_scenario.r_time_to_filter in
+           [
+             ("byz %", "byzantine_fraction", Json.Float f,
+              Printf.sprintf "%.0f" (100. *. f));
+             count "corrupted" "corrupted" v.As_scenario.v_byzantine;
+             count "flagged" "flagged" v.As_scenario.v_flagged;
+             count "missed" "missed" v.As_scenario.v_missed;
+             count "false pos" "false_positives" v.As_scenario.v_false_positives;
+             ("failovers", "failovers", Json.Int r.As_scenario.r_failovers,
+              string_of_int r.As_scenario.r_failovers);
+             ("tts (s)", "time_to_filter",
+              Option.fold ~none:Json.Null ~some:(fun t -> Json.Float t) tts,
+              Option.fold ~none:"never" ~some:(Printf.sprintf "%.2f") tts);
+             ("goodput MB", "good_received_bytes", Json.Float goodput,
+              Printf.sprintf "%.2f" (goodput /. 1e6));
+             ("ratio", "goodput_ratio", Json.Float ratio,
+              Printf.sprintf "%.3f" ratio);
+             ("", "receipts_verified", Json.Int v.As_scenario.v_receipts_verified, "");
+             ("", "receipts_rejected", Json.Int v.As_scenario.v_receipts_rejected, "");
+             ("wall (s)", "wall_seconds", Json.Float wall,
+              Printf.sprintf "%.2f" wall);
+           ])
+         runs)
   in
-  emit table;
   Aitf_obs.Report.write_json "BENCH_E20.json"
     (Json.Obj
        [
@@ -2361,120 +2200,77 @@ let e20 () =
    (comma-separated). *)
 
 let e21 () =
-  let module As_scenario = Aitf_workload.As_scenario in
   let module Sched = Aitf_parallel.Sched in
   let module Json = Aitf_obs.Json in
-  Sched.set_default_clock Unix.gettimeofday;
-  let cap =
-    match Sys.getenv_opt "E21_MAX_SOURCES" with
-    | Some s -> (try int_of_string s with _ -> 1_000_000)
-    | None -> 1_000_000
-  in
-  let shard_counts =
-    match Sys.getenv_opt "E21_SHARDS" with
-    | Some s ->
-      List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 1; 2; 4; 8 ]
-  in
+  let cap = env_int "E21_MAX_SOURCES" ~default:1_000_000 Fun.id in
+  let shard_counts = env_ints "E21_SHARDS" ~default:[ 1; 2; 4; 8 ] in
   let cores = Domain.recommended_domain_count () in
-  let table =
-    Table.create
+  let int header key n = (header, key, Json.Int n, string_of_int n) in
+  let row n ~base_wall ~base_good (r, wall) =
+    let shards = r.As_scenario.r_shards in
+    let good = r.As_scenario.r_good_received_bytes in
+    let speedup = if wall > 0. then base_wall /. wall else 0. in
+    let st = r.As_scenario.r_sched_stats in
+    let stall_frac =
+      if wall > 0. then st.Sched.stall_seconds /. wall else 0.
+    in
+    let agree =
+      base_good = 0. || Float.abs ((good -. base_good) /. base_good) <= 0.10
+    in
+    [
+      int "sources" "sources" n;
+      int "shards" "shards" shards;
+      ("wall (s)", "wall_seconds", Json.Float wall, Printf.sprintf "%.2f" wall);
+      ("speedup", "speedup_vs_1shard", Json.Float speedup,
+       Printf.sprintf "%.2f" speedup);
+      ("stall %", "stall_fraction", Json.Float stall_frac,
+       Printf.sprintf "%.1f" (100. *. stall_frac));
+      int "windows" "windows" st.Sched.windows;
+      int "" "global_batches" st.Sched.global_batches;
+      int "messages" "messages" st.Sched.messages;
+      int "" "deferred" st.Sched.deferred;
+      ("goodput MB", "good_received_bytes", Json.Float good,
+       Printf.sprintf "%.2f" (good /. 1e6));
+      ("agree", "goodput_agrees_10pct", Json.Bool agree,
+       if agree then "AGREE" else "DISAGREE");
+      int "events" "events" r.As_scenario.r_events;
+      ("", "gate_applicable", Json.Bool (cores >= shards), "");
+    ]
+  in
+  (* Each population's runs, its 1-shard run first when listed: speedup
+     and agreement are against that run. *)
+  let population n =
+    let base_wall = ref 0. and base_good = ref 0. in
+    List.map
+      (fun shards ->
+        let ((r, wall) as run) = timed (internet ~shards n) in
+        if shards = 1 then begin
+          base_wall := wall;
+          base_good := r.As_scenario.r_good_received_bytes
+        end;
+        row n ~base_wall:!base_wall ~base_good:!base_good run)
+      shard_counts
+  in
+  let rows =
+    sweep
       ~title:
         (Printf.sprintf
            "E21  parallel engine shard sweep   (1000 domains, conservative \
             lookahead; %d core(s))"
            cores)
-      ~columns:
-        [
-          "sources";
-          "shards";
-          "wall (s)";
-          "speedup";
-          "stall %";
-          "windows";
-          "messages";
-          "goodput MB";
-          "agree";
-          "events";
-        ]
+      (List.concat_map
+         (fun n -> if n <= cap then population n else [])
+         [ 100_000; 1_000_000 ])
   in
-  let rows = ref [] in
-  List.iter
-    (fun n ->
-      if n <= cap then begin
-        let base_wall = ref 0. and base_good = ref 0. in
-        List.iter
-          (fun shards ->
-            let t0 = Unix.gettimeofday () in
-            let r =
-              As_scenario.run
-                {
-                  As_scenario.default with
-                  As_scenario.as_config =
-                    { Config.default with Config.engine = Config.Hybrid };
-                  as_sources = n;
-                  as_shards = shards;
-                }
-            in
-            let wall = Unix.gettimeofday () -. t0 in
-            let good = r.As_scenario.r_good_received_bytes in
-            if shards = 1 then begin
-              base_wall := wall;
-              base_good := good
-            end;
-            let speedup = if wall > 0. then !base_wall /. wall else 0. in
-            let st = r.As_scenario.r_sched_stats in
-            let stall_frac =
-              if wall > 0. then st.Sched.stall_seconds /. wall else 0.
-            in
-            let agree =
-              !base_good = 0.
-              || Float.abs ((good -. !base_good) /. !base_good) <= 0.10
-            in
-            Table.add_row table
-              [
-                string_of_int n;
-                string_of_int shards;
-                Printf.sprintf "%.2f" wall;
-                Printf.sprintf "%.2f" speedup;
-                Printf.sprintf "%.1f" (100. *. stall_frac);
-                string_of_int st.Sched.windows;
-                string_of_int st.Sched.messages;
-                Printf.sprintf "%.2f" (good /. 1e6);
-                (if agree then "AGREE" else "DISAGREE");
-                string_of_int r.As_scenario.r_events;
-              ];
-            rows :=
-              Json.Obj
-                [
-                  ("sources", Json.Int n);
-                  ("shards", Json.Int shards);
-                  ("wall_seconds", Json.Float wall);
-                  ("speedup_vs_1shard", Json.Float speedup);
-                  ("stall_fraction", Json.Float stall_frac);
-                  ("windows", Json.Int st.Sched.windows);
-                  ("global_batches", Json.Int st.Sched.global_batches);
-                  ("messages", Json.Int st.Sched.messages);
-                  ("deferred", Json.Int st.Sched.deferred);
-                  ("good_received_bytes", Json.Float good);
-                  ("goodput_agrees_10pct", Json.Bool agree);
-                  ("events", Json.Int r.As_scenario.r_events);
-                  ("gate_applicable", Json.Bool (cores >= shards));
-                ]
-              :: !rows)
-          shard_counts
-      end)
-    [ 100_000; 1_000_000 ];
-  emit table;
   Aitf_obs.Report.write_json "BENCH_E21.json"
     (Json.Obj
        [
          ("schema", Json.String "aitf.parallel-bench/1");
          ("cores", Json.Int cores);
-         ("sweep", Json.List (List.rev !rows));
+         ("sweep", Json.List rows);
        ]);
   Printf.printf "wrote BENCH_E21.json  (%d rows, %d cores)\n"
-    (List.length !rows) cores
+    (List.length rows) cores
 
 (* ----------------------------------------------------------------- E22 -- *)
 
@@ -2501,98 +2297,47 @@ let e21 () =
    (default 10^5); E22_SHARDS overrides the shard list. *)
 
 let e22 () =
-  let module As_scenario = Aitf_workload.As_scenario in
   let module Span = Aitf_obs.Span in
   let module Json = Aitf_obs.Json in
-  Aitf_parallel.Sched.set_default_clock Unix.gettimeofday;
-  let sources =
-    match Sys.getenv_opt "E22_MAX_SOURCES" with
-    | Some s -> (try min 100_000 (int_of_string s) with _ -> 100_000)
-    | None -> 100_000
-  in
-  let shard_counts =
-    match Sys.getenv_opt "E22_SHARDS" with
-    | Some s ->
-      List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 1; 4 ]
-  in
+  let sources = env_int "E22_MAX_SOURCES" ~default:100_000 (min 100_000) in
+  let shard_counts = env_ints "E22_SHARDS" ~default:[ 1; 4 ] in
   let cores = Domain.recommended_domain_count () in
-  let params shards =
-    {
-      As_scenario.default with
-      As_scenario.as_config =
-        { Config.default with Config.engine = Config.Hybrid };
-      as_sources = sources;
-      as_shards = shards;
-    }
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "E22  sharded tracing overhead   (%d sources; %d core(s))"
-           sources cores)
-      ~columns:
-        [
-          "shards";
-          "untraced (s)";
-          "traced (s)";
-          "overhead x";
-          "identical";
-          "roots";
-          "digest";
-        ]
-  in
-  let rows = ref [] in
   let digests = ref [] in
-  List.iter
-    (fun shards ->
-      let t0 = Unix.gettimeofday () in
-      let plain = As_scenario.run (params shards) in
-      let wall_plain = Unix.gettimeofday () -. t0 in
-      let sp = Span.create () in
-      let t1 = Unix.gettimeofday () in
-      let traced =
-        As_scenario.run ~obs:(Aitf_obs.Obs.create ~spans:sp ()) (params shards)
-      in
-      let wall_traced = Unix.gettimeofday () -. t1 in
-      let digest = Span.digest sp in
-      let roots = List.length (Span.roots sp) in
-      let identical =
-        plain.As_scenario.r_good_received_bytes
-        = traced.As_scenario.r_good_received_bytes
-        && plain.As_scenario.r_attack_received_bytes
-           = traced.As_scenario.r_attack_received_bytes
-        && plain.As_scenario.r_events = traced.As_scenario.r_events
-      in
-      let overhead =
-        if wall_plain > 0. then wall_traced /. wall_plain else 0.
-      in
-      digests := (shards, digest) :: !digests;
-      Table.add_row table
+  let runs =
+    List.map
+      (fun shards ->
+        let plain, wall_plain = timed (internet ~shards sources) in
+        let sp = Span.create () in
+        let traced, wall_traced =
+          timed ~obs:(Aitf_obs.Obs.create ~spans:sp ()) (internet ~shards sources)
+        in
+        let digest = Span.digest sp in
+        let roots = List.length (Span.roots sp) in
+        let identical =
+          plain.As_scenario.r_good_received_bytes
+          = traced.As_scenario.r_good_received_bytes
+          && plain.As_scenario.r_attack_received_bytes
+             = traced.As_scenario.r_attack_received_bytes
+          && plain.As_scenario.r_events = traced.As_scenario.r_events
+        in
+        let overhead =
+          if wall_plain > 0. then wall_traced /. wall_plain else 0.
+        in
+        let secs header key s = (header, key, Json.Float s, Printf.sprintf "%.2f" s) in
+        digests := (shards, digest) :: !digests;
         [
-          string_of_int shards;
-          Printf.sprintf "%.2f" wall_plain;
-          Printf.sprintf "%.2f" wall_traced;
-          Printf.sprintf "%.2f" overhead;
-          (if identical then "YES" else "NO");
-          string_of_int roots;
-          String.sub digest 0 12;
-        ];
-      rows :=
-        Json.Obj
-          [
-            ("shards", Json.Int shards);
-            ("untraced_wall_seconds", Json.Float wall_plain);
-            ("traced_wall_seconds", Json.Float wall_traced);
-            ("tracing_overhead", Json.Float overhead);
-            ("traced_identical_to_untraced", Json.Bool identical);
-            ("span_roots", Json.Int roots);
-            ("span_digest", Json.String digest);
-            ("gate_applicable", Json.Bool (cores >= shards));
-          ]
-        :: !rows)
-    shard_counts;
+          ("shards", "shards", Json.Int shards, string_of_int shards);
+          secs "untraced (s)" "untraced_wall_seconds" wall_plain;
+          secs "traced (s)" "traced_wall_seconds" wall_traced;
+          secs "overhead x" "tracing_overhead" overhead;
+          ("identical", "traced_identical_to_untraced", Json.Bool identical,
+           if identical then "YES" else "NO");
+          ("roots", "span_roots", Json.Int roots, string_of_int roots);
+          ("digest", "span_digest", Json.String digest, String.sub digest 0 12);
+          ("", "gate_applicable", Json.Bool (cores >= shards), "");
+        ])
+      shard_counts
+  in
   let digest_invariant =
     match List.filter (fun (s, _) -> s > 1) !digests with
     | [] -> true
@@ -2605,7 +2350,14 @@ let e22 () =
     | Some d1, (_, dn) :: _ -> Some (String.equal d1 dn)
     | _ -> None
   in
-  emit table;
+  let rows =
+    sweep
+      ~title:
+        (Printf.sprintf
+           "E22  sharded tracing overhead   (%d sources; %d core(s))" sources
+           cores)
+      runs
+  in
   Printf.printf "span digest invariant across sharded layouts: %s%s\n"
     (if digest_invariant then "YES" else "NO")
     (match matches_sequential with
@@ -2623,6 +2375,6 @@ let e22 () =
        @ (match matches_sequential with
          | Some b -> [ ("digest_matches_sequential", Json.Bool b) ]
          | None -> [])
-       @ [ ("sweep", Json.List (List.rev !rows)) ]));
+       @ [ ("sweep", Json.List rows) ]));
   Printf.printf "wrote BENCH_E22.json  (%d rows, %d cores)\n"
-    (List.length !rows) cores
+    (List.length rows) cores

@@ -275,6 +275,9 @@ let write_json_report file targets =
   Printf.printf "wrote %s\n" file
 
 let () =
+  (* The process's one wall clock, read by every timing in the
+     experiments and by the parallel engine's barrier-stall counters. *)
+  Aitf_parallel.Sched.set_default_clock Unix.gettimeofday;
   (* --csv-dir DIR mirrors every table as CSV into DIR;
      --json FILE writes a machine-readable report of the whole run. *)
   let json_file = ref None in

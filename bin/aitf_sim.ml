@@ -31,15 +31,15 @@
      aitf_sim formulas --r1 100 --r2 1 --t-filter 60 --ttmp 0.6
 *)
 
-module Sim = Aitf_engine.Sim
 module Series = Aitf_stats.Series
 module Table = Aitf_stats.Table
 open Aitf_core
 module Scenarios = Aitf_workload.Scenarios
+module Runner = Aitf_workload.Runner
 module Formulas = Aitf_model.Formulas
 open Cmdliner
 
-(* --- run ------------------------------------------------------------------ *)
+(* --- flag values ------------------------------------------------------------ *)
 
 (* Strict numeric flag values. [Arg.float] happily accepts "nan", "inf"
    and out-of-range numbers, which then propagate silently into the
@@ -54,8 +54,6 @@ let finite what s =
     Error (`Msg (Printf.sprintf "%s: must be finite, got %S" what s))
   | Some v -> Ok v
 
-let float_print fmt v = Format.fprintf fmt "%g" v
-
 let float_conv what ~check ~expect =
   let parse s =
     Result.bind (finite what s) (fun v ->
@@ -63,7 +61,7 @@ let float_conv what ~check ~expect =
         else
           Error (`Msg (Printf.sprintf "%s: must be %s, got %g" what expect v)))
   in
-  Arg.conv (parse, float_print)
+  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
 
 let pos_float what = float_conv what ~check:(fun v -> v > 0.) ~expect:"> 0"
 
@@ -75,7 +73,7 @@ let prob_float what =
     ~check:(fun v -> v >= 0. && v <= 1.)
     ~expect:"a probability in [0, 1]"
 
-let min_int what lo =
+let min_int lo what =
   let parse s =
     match int_of_string_opt s with
     | None ->
@@ -88,7 +86,7 @@ let min_int what lo =
 
 (* "A:B" float pairs, for --burst-loss and --flap; both components are
    validated by [check]/[expect] like the scalar converters. *)
-let pair_conv ~what ?(check = Float.is_finite) ?(expect = "finite") () =
+let pair_conv ~check ~expect what =
   let parse s =
     match String.split_on_char ':' s with
     | [ a; b ] -> (
@@ -105,15 +103,18 @@ let pair_conv ~what ?(check = Float.is_finite) ?(expect = "finite") () =
   let print fmt (a, b) = Format.fprintf fmt "%g:%g" a b in
   Arg.conv (parse, print)
 
+(* Parsers from the libraries' own string forms. *)
+let string_conv parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      fun fmt v -> Format.pp_print_string fmt (print v) )
+
 let adversary_conv =
-  let module Adversary = Aitf_adversary.Adversary in
-  let parse s =
-    match Adversary.playbook_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (Adversary.playbook_to_string p) in
-  Arg.conv (parse, print)
+  let module A = Aitf_adversary.Adversary in
+  string_conv A.playbook_of_string A.playbook_to_string
+
+let placement_conv =
+  string_conv Placement.policy_of_string Placement.policy_to_string
 
 let strategy_conv =
   let parse = function
@@ -126,305 +127,372 @@ let strategy_conv =
     | "onoff" -> Ok (Policy.On_off { off_time = 1.0 })
     | s -> Error (`Msg (Printf.sprintf "unknown strategy %S" s))
   in
-  let print fmt s = Policy.pp_attacker fmt s in
+  Arg.conv (parse, Policy.pp_attacker)
+
+let lying_mode_conv =
+  let module A = Aitf_adversary.Adversary in
+  let parse s =
+    match String.split_on_char ':' s with
+    | [ "accept-ignore" ] -> Ok A.Accept_ignore
+    | [ "forge" ] -> Ok A.Forge
+    | [ "replay" ] -> Ok A.Replay
+    | [ "partial" ] -> Ok (A.Partial 125_000.)
+    | [ "partial"; leak ] -> (
+      match float_of_string_opt leak with
+      | Some l when l >= 0. -> Ok (A.Partial l)
+      | Some _ | None ->
+        Error (`Msg (Printf.sprintf "--lying-mode: bad leak %S" leak)))
+    | _ ->
+      Error
+        (`Msg
+           "--lying-mode: expected accept-ignore | partial[:BYTES/S] | \
+            forge | replay")
+  in
+  let print fmt m =
+    Format.pp_print_string fmt
+      (match m with
+      | A.Accept_ignore -> "accept-ignore"
+      | A.Partial l -> Printf.sprintf "partial:%g" l
+      | A.Forge -> "forge"
+      | A.Replay -> "replay")
+  in
   Arg.conv (parse, print)
 
-(* --- causal tracing / flight recorder / profiler -------------------------
-   One flag block shared by run, flood and swarm (docs/OBSERVABILITY.md,
-   "Causal tracing"). Everything is off by default and attached
-   process-globally before the scenario builds its topology, so the
-   gateways see the collectors at construction time. *)
+(* --- flags shared by the scenario subcommands -------------------------------- *)
 
-type obs_opts = {
-  spans_file : string option;
-  flight_capacity : int;
-  flight_dump : bool;
-  flight_dump_file : string option;
-  profile : bool;
-  slo : float option;
-}
+(* [--NAME] with a validated converter ([cv] receives the flag name for
+   its error messages), a boolean [--NAME], and an optional [--NAME FILE]. *)
+let arg ?(names = []) ?docv cv name default doc =
+  Arg.(value & opt (cv ("--" ^ name)) default & info (name :: names) ?docv ~doc)
+
+let switch name doc = Arg.(value & flag & info [ name ] ~doc)
+
+let file_arg name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+let duration default =
+  arg pos_float "duration" default ~docv:"SECONDS" "Simulated duration."
+
+let seed ?(doc = "Deterministic seed.") () =
+  Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+
+let td =
+  arg nonneg_float "td" 0.1 ~docv:"SECONDS"
+    "Victim detection delay Td for a new flow."
+
+let attack_rate default doc =
+  arg nonneg_float "attack-rate" default ~docv:"BITS/S" doc
+
+let legit_rate default doc =
+  arg nonneg_float "legit-rate" default ~docv:"BITS/S" doc
+
+let sources default doc = arg (min_int 1) "sources" default ~docv:"N" doc
+
+let engine =
+  Arg.(value
+       & opt (enum [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ])
+           Config.Packet
+       & info [ "engine" ] ~docv:"packet|hybrid"
+           ~doc:"Data-plane substrate: discrete packets end to end, or \
+                 the fluid rate-domain plane bridged to the packet-level \
+                 control plane by sampled probes (see docs/SIMULATOR.md).")
+
+let hybrid_epoch =
+  arg pos_float "hybrid-epoch" Config.default.Config.hybrid_epoch
+    ~docv:"SECONDS" "Fluid-share recompute period of the hybrid engine."
+
+let probe_rate =
+  Arg.(value & opt float Config.default.Config.hybrid_probe_rate
+       & info [ "probe-rate" ] ~docv:"PKTS/S"
+           ~doc:"Probe packets materialised per fluid aggregate under the \
+                 hybrid engine (0 = derive from the aggregate's own rate).")
+
+let overload doc = switch "overload" doc
+
+let filter_capacity =
+  arg (min_int 1) "filter-capacity" Config.default.Config.filter_capacity
+    ~docv:"SLOTS" "Wire-speed filter-table slots per gateway."
+
+let metrics =
+  file_arg "metrics"
+    "Attach a metrics registry and write a JSON run report (schema \
+     aitf.run-report/1, see docs/OBSERVABILITY.md)."
+
+let metrics_interval =
+  arg nonneg_float "metrics-interval" 0. ~docv:"SECONDS"
+    "Metric sampling period (0 = the scenario default)."
+
+let sample_period ~default interval = if interval > 0. then interval else default
+
+let csv = file_arg "csv" "Write the victim-observed attack-rate series as CSV."
+
+
+(* --- causal tracing / flight recorder / profiler -------------------------
+   One flag block shared by run, flood, swarm and internet
+   (docs/OBSERVABILITY.md, "Causal tracing"). Everything is off by
+   default; the observers form the world's context, so the gateways see
+   them from construction on. The flags evaluate to the step that builds
+   that context from the subcommand's own registry and trace sinks, and
+   returns it with the step that exports and prints the observers after
+   the run. *)
+
+open Term.Syntax
 
 let obs_term =
-  let spans =
-    Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE"
-           ~doc:"Attach the causal span collector and write the span forest \
-                 as Chrome trace-event JSON (loadable in Perfetto); also \
-                 prints the per-stage critical-path summary. See \
-                 docs/OBSERVABILITY.md, section Causal tracing.")
-  in
-  let flight =
-    Arg.(value & opt (min_int "--flight-recorder" 0) 0 & info [ "flight-recorder" ] ~docv:"N"
-           ~doc:"Arm the packet flight recorder: a ring buffer of the last \
-                 N per-hop link records (enqueue/dequeue/drop with queue \
-                 depth). 0 disables. Dumped automatically on an --slo \
-                 breach, or at the end of the run with --flight-dump.")
-  in
-  let flight_dump =
-    Arg.(value & flag & info [ "flight-dump" ]
-           ~doc:"Dump the retained flight-recorder records to stderr after \
-                 the run (on-demand counterpart to the --slo auto-dump).")
-  in
-  let flight_dump_file =
-    Arg.(value & opt (some string) None & info [ "flight-dump-file" ]
-           ~docv:"FILE"
-           ~doc:"Write --slo auto-dumps to FILE instead of stderr. In \
-                 sharded runs each shard's ring dumps to FILE.shard<i> \
-                 (records sorted by time, shard, sequence), so concurrent \
-                 breaches never interleave.")
-  in
-  let profile =
-    Arg.(value & flag & info [ "profile" ]
-           ~doc:"Profile the engine: wall-clock seconds per event category \
-                 plus the peak event-queue depth, printed after the run and \
-                 folded into the metrics report when --metrics is given. \
-                 Wall-clock figures are nondeterministic; the simulated \
-                 event sequence is unchanged.")
-  in
-  let slo =
+  let+ spans_file =
+    file_arg "spans"
+      "Attach the causal span collector and write the span forest as Chrome \
+       trace-event JSON (loadable in Perfetto); also prints the per-stage \
+       critical-path summary. See docs/OBSERVABILITY.md, section Causal \
+       tracing."
+  and+ flight_capacity =
+    arg (min_int 0) "flight-recorder" 0 ~docv:"N"
+      "Arm the packet flight recorder: a ring buffer of the last N per-hop \
+       link records (enqueue/dequeue/drop with queue depth). 0 disables. \
+       Dumped automatically on an --slo breach, or at the end of the run \
+       with --flight-dump."
+  and+ flight_dump =
+    switch "flight-dump"
+      "Dump the retained flight-recorder records to stderr after the run \
+       (on-demand counterpart to the --slo auto-dump)."
+  and+ flight_dump_file =
+    file_arg "flight-dump-file"
+      "Write --slo auto-dumps to FILE instead of stderr. In sharded runs \
+       each shard's ring dumps to FILE.shard<i> (records sorted by time, \
+       shard, sequence), so concurrent breaches never interleave."
+  and+ profile =
+    switch "profile"
+      "Profile the engine: wall-clock seconds per event category plus the \
+       peak event-queue depth, printed after the run and folded into the \
+       metrics report when --metrics is given. Wall-clock figures are \
+       nondeterministic; the simulated event sequence is unchanged."
+  and+ slo =
     Arg.(value & opt (some (pos_float "--slo")) None & info [ "slo" ] ~docv:"SECONDS"
            ~doc:"Latency objective for one filtering request (root opened \
                  at the victim until the long filter lands). A request \
                  completing later than this dumps the flight recorder. \
                  Implies span collection even without --spans.")
   in
-  Term.(
-    const (fun spans_file flight_capacity flight_dump flight_dump_file
-               profile slo ->
-        { spans_file; flight_capacity; flight_dump; flight_dump_file;
-          profile; slo })
-    $ spans $ flight $ flight_dump $ flight_dump_file $ profile $ slo)
-
-(* The world's observer context from the shared flags, plus the
-   subcommand's own registry and trace sinks. *)
-let obs_create ?metrics ?trace (o : obs_opts) =
-  let spans =
-    if o.spans_file <> None || o.slo <> None then Some (Aitf_obs.Span.create ())
-    else None
-  in
-  let flight =
-    if o.flight_capacity > 0 then begin
-      let f = Aitf_obs.Flight.create ~capacity:o.flight_capacity in
-      Aitf_obs.Flight.set_dump_path f o.flight_dump_file;
-      Some f
-    end
-    else None
-  in
-  (match (spans, o.slo) with
-  | Some t, Some seconds ->
-    Aitf_obs.Span.set_slo t ~seconds (fun root ->
-        Format.eprintf "-- SLO breach: corr=%d flow=%s took %.3fs (> %gs) --@."
-          root.Aitf_obs.Span.corr root.Aitf_obs.Span.flow
-          (match root.Aitf_obs.Span.completed_at with
-          | Some c -> c -. root.Aitf_obs.Span.opened_at
-          | None -> nan)
-          seconds;
-        match flight with
-        | Some f -> Aitf_obs.Flight.auto_dump f
-        | None -> ())
-  | _ -> ());
-  let profile = if o.profile then Some (Aitf_obs.Profile.create ()) else None in
-  Aitf_obs.Obs.create ?metrics ?spans ?flight ?profile ?trace ()
-
-(* Export the span forest, print the recorder and profiler, and surface the
-   profiler through the registry so the JSON run report written later
-   carries the hot-path buckets. *)
-let obs_finish (o : obs_opts) (obs : Aitf_obs.Obs.t) ~now =
-  (match obs.Aitf_obs.Obs.profile with
-  | None -> ()
-  | Some p ->
-    (match obs.Aitf_obs.Obs.metrics with
-    | Some reg ->
-      Aitf_obs.Profile.register_metrics p reg ~prefix:"engine.profile"
-    | None -> ());
-    print_string (Aitf_obs.Profile.report p));
-  (match obs.Aitf_obs.Obs.flight with
-  | None -> ()
-  | Some f ->
-    Printf.printf "flight recorder: %d record(s) seen, last %d retained\n"
-      (Aitf_obs.Flight.recorded f)
-      (List.length (Aitf_obs.Flight.records f));
-    if o.flight_dump then Aitf_obs.Flight.dump f);
-  match obs.Aitf_obs.Obs.spans with
-  | None -> ()
-  | Some t ->
-    (match o.spans_file with
-    | None -> ()
-    | Some file ->
-      Aitf_obs.Report.write_json file (Aitf_obs.Span.to_chrome_trace ~now t);
-      Printf.printf "wrote %s (%d request(s) traced)\n" file
-        (List.length (Aitf_obs.Span.roots t)));
-    print_string (Aitf_obs.Span.summary t)
-
-let run_cmd =
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 60. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
-  let t_filter =
-    Arg.(value & opt (pos_float "--t-filter") 6. & info [ "t-filter"; "T" ] ~docv:"SECONDS"
-           ~doc:"The blocking interval T every request asks for.")
-  in
-  let t_tmp =
-    Arg.(value & opt (pos_float "--ttmp") 0.5 & info [ "ttmp" ] ~docv:"SECONDS"
-           ~doc:"Ttmp, the victim gateway's temporary-filter horizon.")
-  in
-  let attack_rate =
-    Arg.(value & opt (nonneg_float "--attack-rate") 1e6 & info [ "attack-rate" ] ~docv:"BITS/S"
-           ~doc:"Undesired flow rate.")
-  in
-  let legit_rate =
-    Arg.(value & opt (nonneg_float "--legit-rate") 0. & info [ "legit-rate" ] ~docv:"BITS/S"
-           ~doc:"Bystander flow rate sharing the victim tail (0 = none).")
-  in
-  let non_coop =
-    Arg.(value & opt (min_int "--non-coop" 0) 0 & info [ "non-coop" ] ~docv:"K"
-           ~doc:"Number of unresponsive attacker-side gateways.")
-  in
-  let strategy =
-    Arg.(value & opt strategy_conv Policy.Ignores & info [ "strategy" ]
-           ~docv:"complies|ignores|onoff[:T]"
-           ~doc:"Attacker host behaviour on a filtering request.")
-  in
-  let td =
-    Arg.(value & opt (nonneg_float "--td") 0.1 & info [ "td" ] ~docv:"SECONDS"
-           ~doc:"Victim detection delay Td for a new flow.")
-  in
-  let depth =
-    Arg.(value & opt (min_int "--depth" 1) 3 & info [ "depth" ] ~docv:"N"
-           ~doc:"Gateways per side of the chain.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
-  in
-  let no_handshake =
-    Arg.(value & flag & info [ "no-handshake" ]
-           ~doc:"Disable the 3-way verification handshake.")
-  in
-  let disconnect =
-    Arg.(value & flag & info [ "disconnect" ]
-           ~doc:"Enforce disconnection of non-compliant parties.")
-  in
-  let trace =
-    Arg.(value & flag & info [ "trace" ]
-           ~doc:"Print the protocol event timeline while running.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-           ~doc:"Write the victim-observed attack-rate series as CSV.")
-  in
-  let stats =
-    Arg.(value & flag & info [ "stats" ]
-           ~doc:"Print per-gateway and per-link statistics after the run.")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1, see docs/OBSERVABILITY.md).")
-  in
-  let metrics_csv =
-    Arg.(value & opt (some string) None & info [ "metrics-csv" ] ~docv:"FILE"
-           ~doc:"Write the sampled metric time series as long-format CSV \
-                 (metric,time,value).")
-  in
-  let metrics_interval =
-    Arg.(value & opt (nonneg_float "--metrics-interval") 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
-           ~doc:"Metric sampling period (0 = the scenario default).")
-  in
-  let traceback =
-    Arg.(value & opt (enum [ ("rr", `Rr); ("spie", `Spie); ("ppm", `Ppm) ]) `Rr
-         & info [ "traceback" ] ~docv:"rr|spie|ppm"
-             ~doc:"Traceback mechanism: in-packet route record, SPIE digest \
-                   queries at the gateway, or probabilistic packet marking.")
-  in
-  let loss =
-    Arg.(value & opt (prob_float "--loss") 0. & info [ "loss" ] ~docv:"P"
-           ~doc:"I.i.d. loss probability for control packets crossing the \
-                 victim's tail circuit (both directions).")
-  in
-  let burst_loss =
-    Arg.(value & opt (some (pair_conv ~what:"--burst-loss"
-                 ~check:(fun v -> v >= 0. && v <= 1.)
-                 ~expect:"a probability in [0, 1]" ())) None
-         & info [ "burst-loss" ] ~docv:"P_ENTER:P_EXIT"
-             ~doc:"Gilbert-Elliott burst loss on the victim-tail control \
-                   channel: per-packet probability of entering / leaving \
-                   the all-loss bad state.")
-  in
-  let dup =
-    Arg.(value & opt (prob_float "--dup") 0. & info [ "dup" ] ~docv:"P"
-           ~doc:"Probability of duplicating a control packet on the \
-                 victim's tail circuit.")
-  in
-  let flap =
-    Arg.(value & opt (some (pair_conv ~what:"--flap" ~check:(fun v -> v > 0.) ~expect:"> 0" ())) None
-         & info [ "flap" ] ~docv:"PERIOD:DOWN"
-             ~doc:"Flap the victim's tail circuit: every PERIOD seconds, \
-                   take it down (both directions) for DOWN seconds.")
-  in
-  let ctrl_retries =
-    Arg.(value & opt (min_int "--ctrl-retries" 0) 0 & info [ "ctrl-retries" ] ~docv:"N"
-           ~doc:"Control-plane retransmissions per message beyond the \
-                 first transmission (0 = single-shot, the classic \
-                 protocol).")
-  in
-  let ctrl_rto =
-    Arg.(value & opt (pos_float "--ctrl-rto") 0.5 & info [ "ctrl-rto" ] ~docv:"SECONDS"
-           ~doc:"Initial control-plane retransmission timeout; doubles on \
-                 every retry.")
-  in
-  let adversary =
-    Arg.(value & opt_all adversary_conv [] & info [ "adversary" ]
-           ~docv:"PLAYBOOK[:k=v,...]"
-           ~doc:"Launch an adversary playbook against the protocol itself \
-                 (repeatable): slot-exhaustion, shadow-exhaustion, \
-                 request-flood, reply-replay or route-forgery. See \
-                 docs/ADVERSARY.md for the knobs of each.")
-  in
-  let overload =
-    Arg.(value & flag & info [ "overload" ]
-           ~doc:"Enable the filter-table overload manager (watermark-driven \
-                 aggregation and priority eviction under slot pressure).")
-  in
-  let filter_capacity =
-    Arg.(value & opt (min_int "--filter-capacity" 1) Config.default.Config.filter_capacity
-         & info [ "filter-capacity" ] ~docv:"SLOTS"
-             ~doc:"Wire-speed filter-table slots per gateway.")
-  in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ])
-             Config.Packet
-         & info [ "engine" ] ~docv:"packet|hybrid"
-             ~doc:"Data-plane substrate: discrete packets end to end, or \
-                   the fluid rate-domain plane bridged to the packet-level \
-                   control plane by sampled probes (see docs/SIMULATOR.md).")
-  in
-  let hybrid_epoch =
-    Arg.(value & opt (pos_float "--hybrid-epoch") Config.default.Config.hybrid_epoch
-         & info [ "hybrid-epoch" ] ~docv:"SECONDS"
-             ~doc:"Fluid-share recompute period under --engine hybrid.")
-  in
-  let probe_rate =
-    Arg.(value & opt float Config.default.Config.hybrid_probe_rate
-         & info [ "probe-rate" ] ~docv:"PKTS/S"
-             ~doc:"Probe packets materialised per aggregate under --engine \
-                   hybrid (0 = derive from the aggregate's own rate).")
-  in
-  let run duration t_filter t_tmp attack_rate legit_rate non_coop strategy td
-      depth seed no_handshake disconnect trace csv stats metrics metrics_csv
-      metrics_interval traceback loss burst_loss dup flap ctrl_retries
-      ctrl_rto adversary overload filter_capacity engine hybrid_epoch
-      probe_rate obs =
-    let registry =
-      if metrics <> None || metrics_csv <> None then
-        Some (Aitf_obs.Metrics.create ())
+  fun metrics trace ->
+    let spans =
+      if spans_file <> None || slo <> None then Some (Aitf_obs.Span.create ())
       else None
     in
-    let obs_ctx =
-      obs_create ?metrics:registry
-        ~trace:(if trace then [ Aitf_obs.Trace.printing_sink () ] else [])
-        obs
+    let flight =
+      if flight_capacity > 0 then begin
+        let f = Aitf_obs.Flight.create ~capacity:flight_capacity in
+        Aitf_obs.Flight.set_dump_path f flight_dump_file;
+        Some f
+      end
+      else None
     in
+    (match (spans, slo) with
+    | Some t, Some seconds ->
+      Aitf_obs.Span.set_slo t ~seconds (fun root ->
+          Format.eprintf "-- SLO breach: corr=%d flow=%s took %.3fs (> %gs) --@."
+            root.Aitf_obs.Span.corr root.Aitf_obs.Span.flow
+            (match root.Aitf_obs.Span.completed_at with
+            | Some c -> c -. root.Aitf_obs.Span.opened_at
+            | None -> nan)
+            seconds;
+          Option.iter Aitf_obs.Flight.auto_dump flight)
+    | _ -> ());
+    let profile = if profile then Some (Aitf_obs.Profile.create ()) else None in
+    (* After the run: surface the profiler through the registry (so the
+       JSON run report written later carries the hot-path buckets) and
+       print it, print the recorder, export the span forest. *)
+    let finish ~now =
+      Option.iter
+        (fun p ->
+          Option.iter
+            (fun reg ->
+              Aitf_obs.Profile.register_metrics p reg ~prefix:"engine.profile")
+            metrics;
+          print_string (Aitf_obs.Profile.report p))
+        profile;
+      Option.iter
+        (fun f ->
+          Printf.printf "flight recorder: %d record(s) seen, last %d retained\n"
+            (Aitf_obs.Flight.recorded f)
+            (List.length (Aitf_obs.Flight.records f));
+          if flight_dump then Aitf_obs.Flight.dump f)
+        flight;
+      Option.iter
+        (fun t ->
+          Option.iter
+            (fun file ->
+              Aitf_obs.Report.write_json file
+                (Aitf_obs.Span.to_chrome_trace ~now t);
+              Printf.printf "wrote %s (%d request(s) traced)\n" file
+                (List.length (Aitf_obs.Span.roots t)))
+            spans_file;
+          print_string (Aitf_obs.Span.summary t))
+        spans
+    in
+    (Aitf_obs.Obs.create ?metrics ?spans ?flight ?profile ~trace (), finish)
+
+(* No observer flags (replay). *)
+let no_obs metrics trace =
+  (Aitf_obs.Obs.create ?metrics ~trace (), fun ~now:_ -> ())
+
+(* --- the shared execute step ------------------------------------------------ *)
+
+(* What every scenario subcommand does once its flags are parsed into a
+   spec: build the world's observer context, run the spec, print the
+   observers and the subcommand's result tables ([tables] sees the
+   registry, for --stats), then write the JSON run report (--metrics), the
+   sampled metric series (--metrics-csv) and the victim-rate series
+   (--csv: file, header line, row format). *)
+let execute ?(trace = false) ?metrics ?metrics_csv ?csv obs spec ~tables =
+  let registry =
+    if metrics <> None || metrics_csv <> None then
+      Some (Aitf_obs.Metrics.create ())
+    else None
+  in
+  let ctx, finish =
+    obs registry (if trace then [ Aitf_obs.Trace.printing_sink () ] else [])
+  in
+  let o = Runner.run ~obs:ctx spec in
+  let now = Runner.duration spec in
+  finish ~now;
+  List.iter Table.print (tables registry o.Runner.result);
+  Option.iter
+    (fun reg ->
+      let series =
+        Option.fold ~none:[] ~some:Aitf_engine.Sampler.series o.Runner.sampler
+      in
+      Option.iter
+        (fun file ->
+          Aitf_obs.Report.write_json file
+            (Aitf_obs.Report.make ~meta:o.Runner.meta
+               ?parallel:o.Runner.parallel ~series ~now reg);
+          let size = Aitf_obs.Metrics.size reg in
+          if o.Runner.sampler = None then
+            Printf.printf "wrote %s (%d metrics)\n" file size
+          else
+            Printf.printf "wrote %s (%d metrics, %d series)\n" file size
+              (List.length series))
+        metrics;
+      Option.iter
+        (fun file ->
+          Aitf_obs.Report.write_file file (Aitf_obs.Report.series_csv series);
+          Printf.printf "wrote %s\n" file)
+        metrics_csv)
+    registry;
+  Option.iter
+    (fun (file, header, row) ->
+      let points = Series.points o.Runner.victim_rate in
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc header;
+          List.iter (fun (t, v) -> output_string oc (row t v)) points);
+      Printf.printf "wrote %s (%d samples)\n" file (List.length points))
+    csv
+
+let result_table ?(title = "") ?(columns = [ "metric"; "value" ]) rows =
+  let table = Table.create ~title ~columns in
+  List.iter (fun (k, v) -> Table.add_row table [ k; v ]) rows;
+  table
+
+let when_ cond rows = if cond then rows else []
+
+let fluid_row eng =
+  let module Fluid = Aitf_flowsim.Fluid in
+  ( "fluid aggregates / sources",
+    Printf.sprintf "%d / %d" (Fluid.aggregates eng) (Fluid.total_sources eng) )
+
+(* --- run ------------------------------------------------------------------ *)
+
+let run_cmd =
+  let term =
+    let+ duration = duration 60.
+    and+ t_filter =
+      arg pos_float "t-filter" ~names:[ "T" ] 6. ~docv:"SECONDS"
+        "The blocking interval T every request asks for."
+    and+ t_tmp =
+      arg pos_float "ttmp" 0.5 ~docv:"SECONDS"
+        "Ttmp, the victim gateway's temporary-filter horizon."
+    and+ attack_rate = attack_rate 1e6 "Undesired flow rate."
+    and+ legit_rate =
+      legit_rate 0. "Bystander flow rate sharing the victim tail (0 = none)."
+    and+ non_coop =
+      arg (min_int 0) "non-coop" 0 ~docv:"K"
+        "Number of unresponsive attacker-side gateways."
+    and+ strategy =
+      Arg.(value & opt strategy_conv Policy.Ignores & info [ "strategy" ]
+             ~docv:"complies|ignores|onoff[:T]"
+             ~doc:"Attacker host behaviour on a filtering request.")
+    and+ td = td
+    and+ depth =
+      arg (min_int 1) "depth" 3 ~docv:"N" "Gateways per side of the chain."
+    and+ seed = seed ()
+    and+ no_handshake =
+      switch "no-handshake" "Disable the 3-way verification handshake."
+    and+ disconnect =
+      switch "disconnect" "Enforce disconnection of non-compliant parties."
+    and+ trace =
+      switch "trace" "Print the protocol event timeline while running."
+    and+ csv = csv
+    and+ stats =
+      switch "stats" "Print per-gateway and per-link statistics after the run."
+    and+ metrics = metrics
+    and+ metrics_csv =
+      file_arg "metrics-csv"
+        "Write the sampled metric time series as long-format CSV \
+         (metric,time,value)."
+    and+ metrics_interval = metrics_interval
+    and+ traceback =
+      Arg.(value
+           & opt (enum [ ("rr", `Path_in_request); ("spie", `Spie); ("ppm", `Ppm) ])
+               `Path_in_request
+           & info [ "traceback" ] ~docv:"rr|spie|ppm"
+               ~doc:"Traceback mechanism: in-packet route record, SPIE \
+                     digest queries at the gateway, or probabilistic packet \
+                     marking.")
+    and+ loss =
+      arg prob_float "loss" 0. ~docv:"P"
+        "I.i.d. loss probability for control packets crossing the victim's \
+         tail circuit (both directions)."
+    and+ burst_loss =
+      Arg.(value & opt (some (pair_conv "--burst-loss"
+                   ~check:(fun v -> v >= 0. && v <= 1.)
+                   ~expect:"a probability in [0, 1]")) None
+           & info [ "burst-loss" ] ~docv:"P_ENTER:P_EXIT"
+               ~doc:"Gilbert-Elliott burst loss on the victim-tail control \
+                     channel: per-packet probability of entering / leaving \
+                     the all-loss bad state.")
+    and+ dup =
+      arg prob_float "dup" 0. ~docv:"P"
+        "Probability of duplicating a control packet on the victim's tail \
+         circuit."
+    and+ flap =
+      Arg.(value & opt (some (pair_conv "--flap" ~check:(fun v -> v > 0.) ~expect:"> 0")) None
+           & info [ "flap" ] ~docv:"PERIOD:DOWN"
+               ~doc:"Flap the victim's tail circuit: every PERIOD seconds, \
+                     take it down (both directions) for DOWN seconds.")
+    and+ ctrl_retries =
+      arg (min_int 0) "ctrl-retries" 0 ~docv:"N"
+        "Control-plane retransmissions per message beyond the first \
+         transmission (0 = single-shot, the classic protocol)."
+    and+ ctrl_rto =
+      arg pos_float "ctrl-rto" 0.5 ~docv:"SECONDS"
+        "Initial control-plane retransmission timeout; doubles on every \
+         retry."
+    and+ adversary =
+      Arg.(value & opt_all adversary_conv [] & info [ "adversary" ]
+             ~docv:"PLAYBOOK[:k=v,...]"
+             ~doc:"Launch an adversary playbook against the protocol itself \
+                   (repeatable): slot-exhaustion, shadow-exhaustion, \
+                   request-flood, reply-replay or route-forgery. See \
+                   docs/ADVERSARY.md for the knobs of each.")
+    and+ overload =
+      overload
+        "Enable the filter-table overload manager (watermark-driven \
+         aggregation and priority eviction under slot pressure)."
+    and+ filter_capacity = filter_capacity
+    and+ engine = engine
+    and+ hybrid_epoch = hybrid_epoch
+    and+ probe_rate = probe_rate
+    and+ obs = obs_term in
     let config =
       {
         Config.default with
@@ -445,11 +513,11 @@ let run_cmd =
     in
     let ctrl_faults =
       let module F = Aitf_fault.Fault in
-      (if loss > 0. then [ F.Loss loss ] else [])
+      when_ (loss > 0.) [ F.Loss loss ]
       @ (match burst_loss with
         | Some (p_enter, p_exit) -> [ F.burst ~p_enter ~p_exit () ]
         | None -> [])
-      @ if dup > 0. then [ F.Duplicate dup ] else []
+      @ when_ (dup > 0.) [ F.Duplicate dup ]
     in
     let params =
       {
@@ -463,143 +531,93 @@ let run_cmd =
         n_non_coop_gws = non_coop;
         attacker_strategy = strategy;
         td;
-        traceback =
-          (match traceback with
-          | `Rr -> `Path_in_request
-          | `Spie -> `Spie
-          | `Ppm -> `Ppm);
+        traceback;
         sample_period =
-          (if metrics_interval > 0. then metrics_interval
-           else Scenarios.default_chain.Scenarios.sample_period);
+          sample_period metrics_interval
+            ~default:Scenarios.default_chain.Scenarios.sample_period;
         ctrl_faults;
         tail_flap = flap;
         adversaries = adversary;
         in_pool_legit_rate = (if adversary <> [] then legit_rate /. 10. else 0.);
       }
     in
-    let r = Scenarios.run_chain ~obs:obs_ctx params in
-    obs_finish obs obs_ctx ~now:duration;
-    let table =
-      Table.create ~title:"scenario result" ~columns:[ "metric"; "value" ]
+    let tables registry (r : Scenarios.chain_result) =
+      let open Scenarios in
+      let d = r.deployed in
+      result_table ~title:"scenario result"
+        ([
+           ("attack offered (bytes)", Printf.sprintf "%.0f" r.attack_offered_bytes);
+           ("attack received (bytes)", Printf.sprintf "%.0f" r.attack_received_bytes);
+           ("effective bandwidth ratio r", Printf.sprintf "%.5f" r.r_measured);
+           ( "paper bound n(Td+Tr)/T",
+             Printf.sprintf "%.5f"
+               (Formulas.effective_bandwidth_ratio ~n:(non_coop + 1) ~td
+                  ~tr:Aitf_topo.Chain.default_spec.Aitf_topo.Chain.access_delay
+                  ~t_filter) );
+         ]
+        @ when_ (legit_rate > 0.)
+            [
+              ( "legit received / offered",
+                Printf.sprintf "%.0f / %.0f" r.good_received_bytes
+                  r.good_offered_bytes );
+            ]
+        @ [
+            ("filtering requests sent", string_of_int r.requests_sent);
+            ("escalations", string_of_int r.escalations);
+          ]
+        @ when_
+            (ctrl_faults <> [] || flap <> None || ctrl_retries > 0)
+            [
+              ("control packets dropped by faults", string_of_int r.faults_injected);
+              ("victim request retransmissions", string_of_int r.requests_retransmitted);
+              ("gateway ctrl retransmissions", string_of_int r.ctrl_retransmits);
+              ("gateway retry budgets exhausted", string_of_int r.ctrl_gave_up);
+            ]
+        @ [
+            ( "time to suppression (s)",
+              match time_to_suppress r ~threshold:0.05 with
+              | Some t -> Printf.sprintf "%.2f" t
+              | None -> "never" );
+            ("events processed", string_of_int r.events_processed);
+          ]
+        @ (match r.fluid with
+          | Some eng ->
+            [
+              fluid_row eng;
+              ("fluid share recomputes", string_of_int (Fluid.recomputes eng));
+            ]
+          | None -> [])
+        @ List.map
+            (fun h ->
+              let module A = Aitf_adversary.Adversary in
+              ( Printf.sprintf "adversary %s" (A.kind (A.playbook h)),
+                Printf.sprintf "pkts=%d reqs=%d replays=%d guesses=%d forged=%d"
+                  (A.packets_sent h) (A.requests_sent h) (A.replays_sent h)
+                  (A.guesses_sent h) (A.stamps_forged h) ))
+            r.adversary_handles
+        @ when_ overload
+            [
+              ("overload aggregations", string_of_int r.overload_aggregations);
+              ("overload evictions", string_of_int r.overload_evictions);
+              ( "collateral (pkts / bytes)",
+                Printf.sprintf "%d / %d" r.collateral_packets r.collateral_bytes );
+            ])
+      :: when_ stats
+           ([
+              Aitf_workload.Report.gateway_table
+                (d.Aitf_topo.Chain.victim_gateways
+                @ d.Aitf_topo.Chain.attacker_gateways);
+              Aitf_workload.Report.link_table
+                d.Aitf_topo.Chain.topo.Aitf_topo.Chain.net;
+            ]
+           @ Option.to_list (Option.map Aitf_workload.Report.metrics_table registry))
     in
-    let add k v = Table.add_row table [ k; v ] in
-    add "attack offered (bytes)" (Printf.sprintf "%.0f" r.Scenarios.attack_offered_bytes);
-    add "attack received (bytes)" (Printf.sprintf "%.0f" r.Scenarios.attack_received_bytes);
-    add "effective bandwidth ratio r" (Printf.sprintf "%.5f" r.Scenarios.r_measured);
-    add "paper bound n(Td+Tr)/T"
-      (Printf.sprintf "%.5f"
-         (Formulas.effective_bandwidth_ratio ~n:(non_coop + 1) ~td
-            ~tr:Aitf_topo.Chain.default_spec.Aitf_topo.Chain.access_delay
-            ~t_filter));
-    (if legit_rate > 0. then
-       add "legit received / offered"
-         (Printf.sprintf "%.0f / %.0f" r.Scenarios.good_received_bytes
-            r.Scenarios.good_offered_bytes));
-    add "filtering requests sent" (string_of_int r.Scenarios.requests_sent);
-    add "escalations" (string_of_int r.Scenarios.escalations);
-    if ctrl_faults <> [] || flap <> None || ctrl_retries > 0 then begin
-      add "control packets dropped by faults"
-        (string_of_int r.Scenarios.faults_injected);
-      add "victim request retransmissions"
-        (string_of_int r.Scenarios.requests_retransmitted);
-      add "gateway ctrl retransmissions"
-        (string_of_int r.Scenarios.ctrl_retransmits);
-      add "gateway retry budgets exhausted"
-        (string_of_int r.Scenarios.ctrl_gave_up)
-    end;
-    (match Scenarios.time_to_suppress r ~threshold:0.05 with
-    | Some t -> add "time to suppression (s)" (Printf.sprintf "%.2f" t)
-    | None -> add "time to suppression (s)" "never");
-    add "events processed" (string_of_int r.Scenarios.events_processed);
-    (match r.Scenarios.fluid with
-    | Some eng ->
-      add "fluid aggregates / sources"
-        (Printf.sprintf "%d / %d"
-           (Scenarios.Fluid.aggregates eng)
-           (Scenarios.Fluid.total_sources eng));
-      add "fluid share recomputes" (string_of_int (Scenarios.Fluid.recomputes eng))
-    | None -> ());
-    List.iter
-      (fun h ->
-        let module A = Aitf_adversary.Adversary in
-        add
-          (Printf.sprintf "adversary %s" (A.kind (A.playbook h)))
-          (Printf.sprintf "pkts=%d reqs=%d replays=%d guesses=%d forged=%d"
-             (A.packets_sent h) (A.requests_sent h) (A.replays_sent h)
-             (A.guesses_sent h) (A.stamps_forged h)))
-      r.Scenarios.adversary_handles;
-    if overload then begin
-      add "overload aggregations" (string_of_int r.Scenarios.overload_aggregations);
-      add "overload evictions" (string_of_int r.Scenarios.overload_evictions);
-      add "collateral (pkts / bytes)"
-        (Printf.sprintf "%d / %d" r.Scenarios.collateral_packets
-           r.Scenarios.collateral_bytes)
-    end;
-    Table.print table;
-    if stats then begin
-      Table.print
-        (Aitf_workload.Report.gateway_table
-           (r.Scenarios.deployed.Aitf_topo.Chain.victim_gateways
-           @ r.Scenarios.deployed.Aitf_topo.Chain.attacker_gateways));
-      Table.print
-        (Aitf_workload.Report.link_table
-           r.Scenarios.deployed.Aitf_topo.Chain.topo.Aitf_topo.Chain.net);
-      match registry with
-      | Some reg -> Table.print (Aitf_workload.Report.metrics_table reg)
-      | None -> ()
-    end;
-    (match registry with
-    | None -> ()
-    | Some reg ->
-      let module Json = Aitf_obs.Json in
-      let series =
-        match r.Scenarios.sampler with
-        | Some s -> Aitf_engine.Sampler.series s
-        | None -> []
-      in
-      let meta =
-        [
-          ("scenario", Json.String "chain");
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("attack_rate", Json.Float attack_rate);
-          ("t_filter", Json.Float t_filter);
-          ("t_tmp", Json.Float t_tmp);
-          ("non_coop", Json.Int non_coop);
-        ]
-      in
-      (match metrics with
-      | Some file ->
-        Aitf_obs.Report.write_json file
-          (Aitf_obs.Report.make ~meta ~series ~now:duration reg);
-        Printf.printf "wrote %s (%d metrics, %d series)\n" file
-          (Aitf_obs.Metrics.size reg) (List.length series)
-      | None -> ());
-      match metrics_csv with
-      | Some file ->
-        Aitf_obs.Report.write_file file (Aitf_obs.Report.series_csv series);
-        Printf.printf "wrote %s\n" file
-      | None -> ());
-    (match csv with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc "time,attack_bps\n";
-      List.iter
-        (fun (t, v) -> Printf.fprintf oc "%.3f,%.1f\n" t v)
-        (Series.points r.Scenarios.victim_rate);
-      close_out oc;
-      Printf.printf "wrote %s (%d samples)\n" file
-        (Series.length r.Scenarios.victim_rate))
-  in
-  let term =
-    Term.(
-      const run $ duration $ t_filter $ t_tmp $ attack_rate $ legit_rate
-      $ non_coop $ strategy $ td $ depth $ seed $ no_handshake $ disconnect
-      $ trace $ csv $ stats $ metrics $ metrics_csv $ metrics_interval
-      $ traceback $ loss $ burst_loss $ dup $ flap $ ctrl_retries
-      $ ctrl_rto $ adversary $ overload $ filter_capacity $ engine
-      $ hybrid_epoch $ probe_rate $ obs_term)
+    let csv =
+      Option.map
+        (fun f -> (f, "time,attack_bps\n", Printf.sprintf "%.3f,%.1f\n"))
+        csv
+    in
+    execute ~trace ?metrics ?metrics_csv ?csv obs (Runner.Chain params) ~tables
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a single-attacker Figure-1 scenario.")
@@ -608,54 +626,26 @@ let run_cmd =
 (* --- flood ------------------------------------------------------------------ *)
 
 let flood_cmd =
-  let isps = Arg.(value & opt (min_int "--isps" 1) 3 & info [ "isps" ] ~doc:"Number of ISPs.") in
-  let nets =
-    Arg.(value & opt (min_int "--nets" 1) 3 & info [ "nets" ] ~doc:"Enterprise networks per ISP.")
-  in
-  let hosts =
-    Arg.(value & opt (min_int "--hosts" 1) 3 & info [ "hosts" ] ~doc:"Hosts per enterprise.")
-  in
-  let zombies =
-    Arg.(value & opt (min_int "--zombies" 0) 12 & info [ "zombies" ] ~doc:"Size of the zombie army.")
-  in
-  let rate =
-    Arg.(value & opt (nonneg_float "--zombie-rate") 1e6 & info [ "zombie-rate" ] ~docv:"BITS/S"
-           ~doc:"Per-zombie attack rate.")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 20. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let no_aitf =
-    Arg.(value & flag & info [ "no-aitf" ] ~doc:"Run without any defense.")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1).")
-  in
-  let metrics_interval =
-    Arg.(value & opt (nonneg_float "--metrics-interval") 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
-           ~doc:"Metric sampling period (0 = the scenario default).")
-  in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ])
-             Config.Packet
-         & info [ "engine" ] ~docv:"packet|hybrid"
-             ~doc:"Data-plane substrate (see docs/SIMULATOR.md).")
-  in
-  let run isps nets hosts zombies rate duration seed no_aitf metrics
-      metrics_interval engine obs =
-    let registry =
-      if metrics <> None then Some (Aitf_obs.Metrics.create ()) else None
-    in
-    let obs_ctx = obs_create ?metrics:registry obs in
-    let r =
-      Scenarios.run_flood ~obs:obs_ctx
+  let count name default doc = arg (min_int 1) name default doc in
+  let term =
+    let+ isps = count "isps" 3 "Number of ISPs."
+    and+ nets = count "nets" 3 "Enterprise networks per ISP."
+    and+ hosts = count "hosts" 3 "Hosts per enterprise."
+    and+ zombies = arg (min_int 0) "zombies" 12 "Size of the zombie army."
+    and+ rate =
+      arg nonneg_float "zombie-rate" 1e6 ~docv:"BITS/S" "Per-zombie attack rate."
+    and+ duration = duration 20.
+    and+ seed = seed ()
+    and+ no_aitf = switch "no-aitf" "Run without any defense."
+    and+ metrics = metrics
+    and+ metrics_interval = metrics_interval
+    and+ engine = engine
+    and+ obs = obs_term in
+    let d = Scenarios.default_flood in
+    let spec =
+      Runner.Flood
         {
-          Scenarios.default_flood with
+          d with
           Scenarios.hierarchy =
             {
               Aitf_topo.Hierarchy.default_spec with
@@ -663,80 +653,45 @@ let flood_cmd =
               nets_per_isp = nets;
               hosts_per_net = hosts;
             };
-          flood_config =
-            {
-              Scenarios.default_flood.Scenarios.flood_config with
-              Config.engine;
-            };
+          flood_config = { d.Scenarios.flood_config with Config.engine };
           zombies;
           zombie_rate = rate;
           flood_duration = duration;
           flood_seed = seed;
           with_aitf = not no_aitf;
           flood_sample_period =
-            (if metrics_interval > 0. then metrics_interval
-             else Scenarios.default_flood.Scenarios.flood_sample_period);
+            sample_period metrics_interval
+              ~default:d.Scenarios.flood_sample_period;
         }
     in
-    obs_finish obs obs_ctx ~now:duration;
-    let table =
-      Table.create ~title:"flood result" ~columns:[ "metric"; "value" ]
+    let tables _ (r : Scenarios.flood_result) =
+      let open Scenarios in
+      [
+        result_table ~title:"flood result"
+          ([
+             ("zombies placed", string_of_int r.zombies_placed);
+             ( "legit received / offered",
+               Printf.sprintf "%.0f / %.0f (%.0f%%)" r.legit_received_bytes
+                 r.legit_offered_bytes
+                 (100. *. r.legit_received_bytes
+                 /. Float.max 1. r.legit_offered_bytes) );
+             ( "attack bytes reaching victim",
+               Printf.sprintf "%.0f" r.flood_attack_received_bytes );
+           ]
+          @ (match r.victim with
+            | Some v ->
+              [ ("victim requests", string_of_int (Host_agent.Victim.requests_sent v)) ]
+            | None -> [])
+          @ when_ (not no_aitf)
+              [
+                ("filter installs at enterprise gateways", string_of_int r.leaf_filters);
+                ("filters at ISP gateways", string_of_int r.isp_filters);
+              ]
+          @ [ ("events processed", string_of_int r.flood_events) ]
+          @ Option.to_list (Option.map fluid_row r.flood_fluid));
+      ]
     in
-    let add k v = Table.add_row table [ k; v ] in
-    add "zombies placed" (string_of_int r.Scenarios.zombies_placed);
-    add "legit received / offered"
-      (Printf.sprintf "%.0f / %.0f (%.0f%%)" r.Scenarios.legit_received_bytes
-         r.Scenarios.legit_offered_bytes
-         (100. *. r.Scenarios.legit_received_bytes
-         /. Float.max 1. r.Scenarios.legit_offered_bytes));
-    add "attack bytes reaching victim"
-      (Printf.sprintf "%.0f" r.Scenarios.flood_attack_received_bytes);
-    (match r.Scenarios.victim with
-    | Some v ->
-      add "victim requests" (string_of_int (Host_agent.Victim.requests_sent v))
-    | None -> ());
-    if not no_aitf then begin
-      add "filter installs at enterprise gateways"
-        (string_of_int r.Scenarios.leaf_filters);
-      add "filters at ISP gateways" (string_of_int r.Scenarios.isp_filters)
-    end;
-    add "events processed" (string_of_int r.Scenarios.flood_events);
-    (match r.Scenarios.flood_fluid with
-    | Some eng ->
-      add "fluid aggregates / sources"
-        (Printf.sprintf "%d / %d"
-           (Scenarios.Fluid.aggregates eng)
-           (Scenarios.Fluid.total_sources eng))
-    | None -> ());
-    Table.print table;
-    match (registry, metrics) with
-    | Some reg, Some file ->
-      let module Json = Aitf_obs.Json in
-      let series =
-        match r.Scenarios.flood_sampler with
-        | Some s -> Aitf_engine.Sampler.series s
-        | None -> []
-      in
-      let meta =
-        [
-          ("scenario", Json.String "flood");
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("zombies", Json.Int zombies);
-          ("zombie_rate", Json.Float rate);
-          ("with_aitf", Json.Bool (not no_aitf));
-        ]
-      in
-      Aitf_obs.Report.write_json file
-        (Aitf_obs.Report.make ~meta ~series ~now:duration reg);
-      Printf.printf "wrote %s (%d metrics, %d series)\n" file
-        (Aitf_obs.Metrics.size reg) (List.length series)
-    | _ -> ()
-  in
-  let term =
-    Term.(
-      const run $ isps $ nets $ hosts $ zombies $ rate $ duration $ seed
-      $ no_aitf $ metrics $ metrics_interval $ engine $ obs_term)
+    execute ?metrics obs spec ~tables
   in
   Cmd.v
     (Cmd.info "flood"
@@ -746,67 +701,30 @@ let flood_cmd =
 (* --- swarm ------------------------------------------------------------------ *)
 
 let swarm_cmd =
-  let sources =
-    Arg.(value & opt (min_int "--sources" 1) 1000 & info [ "sources" ] ~docv:"N"
-           ~doc:"Total attacking sources across the spoofed pools.")
-  in
-  let pools =
-    Arg.(value & opt (min_int "--pools" 1) 4 & info [ "pools" ] ~docv:"N"
-           ~doc:"Origin pool nodes (1..16), one fluid aggregate each.")
-  in
-  let attack_rate =
-    Arg.(value & opt (nonneg_float "--attack-rate") 20e6 & info [ "attack-rate" ] ~docv:"BITS/S"
-           ~doc:"Total attack rate summed over every source.")
-  in
-  let legit_rate =
-    Arg.(value & opt (nonneg_float "--legit-rate") 1e6 & info [ "legit-rate" ] ~docv:"BITS/S"
-           ~doc:"Bystander rate sharing the victim tail (0 = none).")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 30. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
-  in
-  let td =
-    Arg.(value & opt (nonneg_float "--td") 0.1 & info [ "td" ] ~docv:"SECONDS"
-           ~doc:"Victim detection delay Td for a new flow.")
-  in
-  let hybrid_epoch =
-    Arg.(value & opt (pos_float "--hybrid-epoch") Config.default.Config.hybrid_epoch
-         & info [ "hybrid-epoch" ] ~docv:"SECONDS"
-             ~doc:"Fluid-share recompute period (the scenario is always \
-                   hybrid).")
-  in
-  let probe_rate =
-    Arg.(value & opt float Config.default.Config.hybrid_probe_rate
-         & info [ "probe-rate" ] ~docv:"PKTS/S"
-             ~doc:"Probe packets materialised per aggregate (0 = derive \
-                   from the aggregate's own rate).")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1).")
-  in
-  let metrics_interval =
-    Arg.(value & opt (nonneg_float "--metrics-interval") 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
-           ~doc:"Metric sampling period (0 = the scenario default).")
-  in
-  let run sources pools attack_rate legit_rate duration seed td hybrid_epoch
-      probe_rate metrics metrics_interval obs =
-    let registry =
-      if metrics <> None then Some (Aitf_obs.Metrics.create ()) else None
-    in
-    let obs_ctx = obs_create ?metrics:registry obs in
-    let r =
-      Scenarios.run_swarm ~obs:obs_ctx
+  let term =
+    let+ sources = sources 1000 "Total attacking sources across the spoofed pools."
+    and+ pools =
+      arg (min_int 1) "pools" 4 ~docv:"N"
+        "Origin pool nodes (1..16), one fluid aggregate each."
+    and+ attack_rate = attack_rate 20e6 "Total attack rate summed over every source."
+    and+ legit_rate =
+      legit_rate 1e6 "Bystander rate sharing the victim tail (0 = none)."
+    and+ duration = duration 30.
+    and+ seed = seed ()
+    and+ td = td
+    and+ hybrid_epoch = hybrid_epoch
+    and+ probe_rate = probe_rate
+    and+ metrics = metrics
+    and+ metrics_interval = metrics_interval
+    and+ obs = obs_term in
+    let d = Scenarios.default_swarm in
+    let spec =
+      Runner.Swarm
         {
-          Scenarios.default_swarm with
+          d with
           Scenarios.swarm_config =
             {
-              Scenarios.default_swarm.Scenarios.swarm_config with
+              d.Scenarios.swarm_config with
               Config.hybrid_epoch;
               hybrid_probe_rate = probe_rate;
             };
@@ -818,59 +736,30 @@ let swarm_cmd =
           swarm_legit_rate = legit_rate;
           swarm_td = td;
           swarm_sample_period =
-            (if metrics_interval > 0. then metrics_interval
-             else Scenarios.default_swarm.Scenarios.swarm_sample_period);
+            sample_period metrics_interval
+              ~default:d.Scenarios.swarm_sample_period;
         }
     in
-    obs_finish obs obs_ctx ~now:duration;
-    let table =
-      Table.create ~title:"swarm result" ~columns:[ "metric"; "value" ]
+    let tables _ (r : Scenarios.swarm_result) =
+      let open Scenarios in
+      [
+        result_table ~title:"swarm result"
+          [
+            ("sources / pools", Printf.sprintf "%d / %d" sources pools);
+            ( "legit received / offered",
+              Printf.sprintf "%.0f / %.0f" r.swarm_good_received_bytes
+                r.swarm_good_offered_bytes );
+            ( "attack bytes reaching victim",
+              Printf.sprintf "%.0f" r.swarm_attack_received_bytes );
+            ("filtering requests sent", string_of_int r.swarm_requests_sent);
+            ("filter installs (all gateways)", string_of_int r.swarm_filters);
+            ("requests absorbed at pools", string_of_int r.swarm_absorbed);
+            fluid_row r.swarm_fluid;
+            ("events processed", string_of_int r.swarm_events);
+          ];
+      ]
     in
-    let add k v = Table.add_row table [ k; v ] in
-    add "sources / pools" (Printf.sprintf "%d / %d" sources pools);
-    add "legit received / offered"
-      (Printf.sprintf "%.0f / %.0f" r.Scenarios.swarm_good_received_bytes
-         r.Scenarios.swarm_good_offered_bytes);
-    add "attack bytes reaching victim"
-      (Printf.sprintf "%.0f" r.Scenarios.swarm_attack_received_bytes);
-    add "filtering requests sent" (string_of_int r.Scenarios.swarm_requests_sent);
-    add "filter installs (all gateways)" (string_of_int r.Scenarios.swarm_filters);
-    add "requests absorbed at pools" (string_of_int r.Scenarios.swarm_absorbed);
-    add "fluid aggregates / sources"
-      (Printf.sprintf "%d / %d"
-         (Scenarios.Fluid.aggregates r.Scenarios.swarm_fluid)
-         (Scenarios.Fluid.total_sources r.Scenarios.swarm_fluid));
-    add "events processed" (string_of_int r.Scenarios.swarm_events);
-    Table.print table;
-    match (registry, metrics) with
-    | Some reg, Some file ->
-      let module Json = Aitf_obs.Json in
-      let series =
-        match r.Scenarios.swarm_sampler with
-        | Some s -> Aitf_engine.Sampler.series s
-        | None -> []
-      in
-      let meta =
-        [
-          ("scenario", Json.String "swarm");
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("sources", Json.Int sources);
-          ("pools", Json.Int pools);
-          ("attack_rate", Json.Float attack_rate);
-        ]
-      in
-      Aitf_obs.Report.write_json file
-        (Aitf_obs.Report.make ~meta ~series ~now:duration reg);
-      Printf.printf "wrote %s (%d metrics, %d series)\n" file
-        (Aitf_obs.Metrics.size reg) (List.length series)
-    | _ -> ()
-  in
-  let term =
-    Term.(
-      const run $ sources $ pools $ attack_rate $ legit_rate $ duration
-      $ seed $ td $ hybrid_epoch $ probe_rate $ metrics $ metrics_interval
-      $ obs_term)
+    execute ?metrics obs spec ~tables
   in
   Cmd.v
     (Cmd.info "swarm"
@@ -880,211 +769,116 @@ let swarm_cmd =
 
 (* --- internet --------------------------------------------------------------- *)
 
-let placement_conv =
-  let parse s =
-    match Placement.policy_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (Placement.policy_to_string p) in
-  Arg.conv (parse, print)
-
 let internet_cmd =
   let module As_graph = Aitf_topo.As_graph in
   let module As_scenario = Aitf_workload.As_scenario in
   let module Placement_ctl = Aitf_workload.Placement_ctl in
-  let domains =
-    Arg.(value & opt (min_int "--domains" 3) 1000 & info [ "domains" ] ~docv:"N"
-           ~doc:"Gateway domains in the generated AS graph (<= 16384).")
+  let module Auditor = Aitf_contract.Auditor in
+  let g = As_graph.default_spec in
+  let contract_rate name doc =
+    Arg.(value & opt (some (pos_float ("--" ^ name))) None
+         & info [ name ] ~docv:"REQ/S" ~doc)
   in
-  let tier1 =
-    Arg.(value & opt (min_int "--tier1" 2) As_graph.default_spec.As_graph.tier1
-         & info [ "tier1" ] ~docv:"N"
-             ~doc:"Fully-meshed tier-1 providers at the top of the graph.")
-  in
-  let multihome =
-    Arg.(value & opt (min_int "--multihome" 1) As_graph.default_spec.As_graph.multihome
-         & info [ "multihome" ] ~docv:"N"
-             ~doc:"Provider uplinks per non-tier-1 domain.")
-  in
-  let peer_p =
-    Arg.(value & opt (prob_float "--peer-p") As_graph.default_spec.As_graph.peer_p
-         & info [ "peer-p" ] ~docv:"P"
-             ~doc:"Probability a new domain adds one lateral peer link.")
-  in
-  let placement =
-    Arg.(value & opt placement_conv Placement.Vanilla
-         & info [ "placement" ] ~docv:"POLICY"
-             ~doc:"Filter-placement policy: $(b,vanilla) (classic AITF \
-                   escalate-upstream), $(b,optimal) (per-epoch optimal \
-                   filter selection) or $(b,adaptive) (feedback-driven \
-                   frontier walking). See docs/PLACEMENT.md.")
-  in
-  let placement_epoch =
-    Arg.(value & opt (pos_float "--placement-epoch") Config.default.Config.placement_epoch
-         & info [ "placement-epoch" ] ~docv:"SECONDS"
-             ~doc:"Managed-placement controller decision period.")
-  in
-  let sources =
-    Arg.(value & opt (min_int "--sources" 1) 100_000 & info [ "sources" ] ~docv:"N"
-           ~doc:"Total attack sources spread over the attack domains.")
-  in
-  let attack_domains =
-    Arg.(value & opt (min_int "--attack-domains" 1) 40 & info [ "attack-domains" ] ~docv:"N"
-           ~doc:"Domains hosting an attack source pool.")
-  in
-  let legit_sources =
-    Arg.(value & opt (min_int "--legit-sources" 0) 10_000 & info [ "legit-sources" ] ~docv:"N"
-           ~doc:"Total legitimate sources spread over the legit domains.")
-  in
-  let legit_domains =
-    Arg.(value & opt (min_int "--legit-domains" 1) 10 & info [ "legit-domains" ] ~docv:"N"
-           ~doc:"Domains hosting a legitimate source pool.")
-  in
-  let attack_rate =
-    Arg.(value & opt (nonneg_float "--attack-rate") 200e6 & info [ "attack-rate" ] ~docv:"BITS/S"
-           ~doc:"Total attack rate summed over every source.")
-  in
-  let legit_rate =
-    Arg.(value & opt (nonneg_float "--legit-rate") 5e6 & info [ "legit-rate" ] ~docv:"BITS/S"
-           ~doc:"Total legitimate rate towards the victim.")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 30. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed (graph, pools and placement).")
-  in
-  let td =
-    Arg.(value & opt (nonneg_float "--td") 0.1 & info [ "td" ] ~docv:"SECONDS"
-           ~doc:"Victim detection delay Td for a new flow.")
-  in
-  let overload =
-    Arg.(value & flag & info [ "overload" ]
-           ~doc:"Enable the filter-table overload manager (watermarks, \
-                 prefix aggregation, priority eviction) on every gateway.")
-  in
-  let filter_capacity =
-    Arg.(value & opt (min_int "--filter-capacity" 1) Config.default.Config.filter_capacity
-         & info [ "filter-capacity" ] ~docv:"N"
-             ~doc:"Per-gateway filter-table slots.")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1).")
-  in
-  let contracts =
-    Arg.(value & flag & info [ "contracts" ]
-           ~doc:"Enable verifiable filtering contracts: signed requests, \
-                 install receipts, a victim-side auditor and \
-                 Byzantine-gateway failover (docs/CONTRACTS.md).")
-  in
-  let byzantine_fraction =
-    Arg.(value & opt (prob_float "--byzantine-fraction") 0.
-         & info [ "byzantine-fraction" ] ~docv:"P"
-             ~doc:"Fraction of on-path gateways corrupted into the lying \
-                   mode at setup (needs $(b,--contracts)).")
-  in
-  let lying_mode =
-    let module A = Aitf_adversary.Adversary in
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "accept-ignore" ] -> Ok A.Accept_ignore
-      | [ "forge" ] -> Ok A.Forge
-      | [ "replay" ] -> Ok A.Replay
-      | [ "partial" ] -> Ok (A.Partial 125_000.)
-      | [ "partial"; leak ] -> (
-        match float_of_string_opt leak with
-        | Some l when l >= 0. -> Ok (A.Partial l)
-        | Some _ | None ->
-          Error (`Msg (Printf.sprintf "--lying-mode: bad leak %S" leak)))
-      | _ ->
-        Error
-          (`Msg
-             "--lying-mode: expected accept-ignore | partial[:BYTES/S] | \
-              forge | replay")
-    in
-    let print fmt m =
-      Format.pp_print_string fmt
-        (match m with
-        | A.Accept_ignore -> "accept-ignore"
-        | A.Partial l -> Printf.sprintf "partial:%g" l
-        | A.Forge -> "forge"
-        | A.Replay -> "replay")
-    in
-    Arg.(value & opt (conv (parse, print)) A.Accept_ignore
-         & info [ "lying-mode" ] ~docv:"MODE"
-             ~doc:"How corrupted gateways cheat: $(b,accept-ignore), \
-                   $(b,partial)[:leak bytes/s], $(b,forge) or $(b,replay).")
-  in
-  let contract_r1 =
-    Arg.(value & opt (some (pos_float "--contract-r1")) None
-         & info [ "contract-r1" ] ~docv:"REQ/S"
-             ~doc:"Provider-side contract: admit client filtering requests \
-                   at R1 per second (default: the paper's 100/s when only \
-                   $(b,--contract-r2) is given).")
-  in
-  let contract_r2 =
-    Arg.(value & opt (some (pos_float "--contract-r2")) None
-         & info [ "contract-r2" ] ~docv:"REQ/S"
-             ~doc:"Provider-side contract: cap counter-requests towards \
-                   the client at R2 per second (default: the paper's 1/s \
-                   when only $(b,--contract-r1) is given).")
-  in
-  let audit_deadline =
-    Arg.(value & opt (pos_float "--audit-deadline")
-           Aitf_contract.Auditor.default_config.Aitf_contract.Auditor.deadline
-         & info [ "audit-deadline" ] ~docv:"SECONDS"
-             ~doc:"Auditor: how long a gateway has to produce its first \
-                   receipt. Set below the temp-filter lifetime to catch \
-                   accept-then-ignore liars that blind escalation would \
-                   paper over.")
-  in
-  let audit_grace =
-    Arg.(value & opt (pos_float "--audit-grace")
-           Aitf_contract.Auditor.default_config.Aitf_contract.Auditor.grace
-         & info [ "audit-grace" ] ~docv:"SECONDS"
-             ~doc:"Auditor: arrivals within this window of a valid receipt \
-                   (or of the audit tick) still count as in-flight, not as \
-                   evidence. Must stay below the deadline.")
-  in
-  let shards =
-    Arg.(value & opt (min_int "--shards" 1) 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"Simulation shards for the parallel engine \
-                 (docs/PARALLEL.md). 1 (the default) is the sequential \
-                 engine, bit-identical to earlier releases; N > 1 \
-                 partitions the domains over N event-queue shards \
-                 synchronized by conservative lookahead windows — \
-                 deterministic for a fixed (seed, N), with outcome \
-                 scalars that vary slightly across shard counts. \
-                 Observability composes: --spans, --flight-recorder, \
-                 --metrics and --contracts all work at any N (per-shard \
-                 collectors merged deterministically after the run; see \
-                 docs/OBSERVABILITY.md).")
-  in
-  let run domains tier1 multihome peer_p placement placement_epoch sources
-      attack_domains legit_sources legit_domains attack_rate legit_rate
-      duration seed td overload filter_capacity metrics contracts
-      byzantine_fraction lying_mode contract_r1 contract_r2 audit_deadline
-      audit_grace shards obs =
-    let registry =
-      if metrics <> None then Some (Aitf_obs.Metrics.create ()) else None
-    in
-    let obs_ctx = obs_create ?metrics:registry obs in
-    let r =
-      As_scenario.run ~obs:obs_ctx
+  let term =
+    let+ domains =
+      arg (min_int 3) "domains" 1000 ~docv:"N"
+        "Gateway domains in the generated AS graph (<= 16384)."
+    and+ tier1 =
+      arg (min_int 2) "tier1" g.As_graph.tier1 ~docv:"N"
+        "Fully-meshed tier-1 providers at the top of the graph."
+    and+ multihome =
+      arg (min_int 1) "multihome" g.As_graph.multihome ~docv:"N"
+        "Provider uplinks per non-tier-1 domain."
+    and+ peer_p =
+      arg prob_float "peer-p" g.As_graph.peer_p ~docv:"P"
+        "Probability a new domain adds one lateral peer link."
+    and+ placement =
+      Arg.(value & opt placement_conv Placement.Vanilla
+           & info [ "placement" ] ~docv:"POLICY"
+               ~doc:"Filter-placement policy: $(b,vanilla) (classic AITF \
+                     escalate-upstream), $(b,optimal) (per-epoch optimal \
+                     filter selection) or $(b,adaptive) (feedback-driven \
+                     frontier walking). See docs/PLACEMENT.md.")
+    and+ placement_epoch =
+      arg pos_float "placement-epoch" Config.default.Config.placement_epoch
+        ~docv:"SECONDS" "Managed-placement controller decision period."
+    and+ sources =
+      sources 100_000 "Total attack sources spread over the attack domains."
+    and+ attack_domains =
+      arg (min_int 1) "attack-domains" 40 ~docv:"N"
+        "Domains hosting an attack source pool."
+    and+ legit_sources =
+      arg (min_int 0) "legit-sources" 10_000 ~docv:"N"
+        "Total legitimate sources spread over the legit domains."
+    and+ legit_domains =
+      arg (min_int 1) "legit-domains" 10 ~docv:"N"
+        "Domains hosting a legitimate source pool."
+    and+ attack_rate =
+      attack_rate 200e6 "Total attack rate summed over every source."
+    and+ legit_rate = legit_rate 5e6 "Total legitimate rate towards the victim."
+    and+ duration = duration 30.
+    and+ seed = seed ~doc:"Deterministic seed (graph, pools and placement)." ()
+    and+ td = td
+    and+ overload =
+      overload
+        "Enable the filter-table overload manager (watermarks, prefix \
+         aggregation, priority eviction) on every gateway."
+    and+ filter_capacity = filter_capacity
+    and+ metrics = metrics
+    and+ contracts =
+      switch "contracts"
+        "Enable verifiable filtering contracts: signed requests, install \
+         receipts, a victim-side auditor and Byzantine-gateway failover \
+         (docs/CONTRACTS.md)."
+    and+ byzantine_fraction =
+      arg prob_float "byzantine-fraction" 0. ~docv:"P"
+        "Fraction of on-path gateways corrupted into the lying mode at \
+         setup (needs $(b,--contracts))."
+    and+ lying_mode =
+      Arg.(value & opt lying_mode_conv Aitf_adversary.Adversary.Accept_ignore
+           & info [ "lying-mode" ] ~docv:"MODE"
+               ~doc:"How corrupted gateways cheat: $(b,accept-ignore), \
+                     $(b,partial)[:leak bytes/s], $(b,forge) or $(b,replay).")
+    and+ contract_r1 =
+      contract_rate "contract-r1"
+        "Provider-side contract: admit client filtering requests at R1 per \
+         second (default: the paper's 100/s when only $(b,--contract-r2) \
+         is given)."
+    and+ contract_r2 =
+      contract_rate "contract-r2"
+        "Provider-side contract: cap counter-requests towards the client \
+         at R2 per second (default: the paper's 1/s when only \
+         $(b,--contract-r1) is given)."
+    and+ audit_deadline =
+      arg pos_float "audit-deadline" Auditor.default_config.Auditor.deadline
+        ~docv:"SECONDS"
+        "Auditor: how long a gateway has to produce its first receipt. Set \
+         below the temp-filter lifetime to catch accept-then-ignore liars \
+         that blind escalation would paper over."
+    and+ audit_grace =
+      arg pos_float "audit-grace" Auditor.default_config.Auditor.grace
+        ~docv:"SECONDS"
+        "Auditor: arrivals within this window of a valid receipt (or of the \
+         audit tick) still count as in-flight, not as evidence. Must stay \
+         below the deadline."
+    and+ shards =
+      arg (min_int 1) "shards" 1 ~docv:"N"
+        "Simulation shards for the parallel engine (docs/PARALLEL.md). 1 \
+         (the default) is the sequential engine, bit-identical to earlier \
+         releases; N > 1 partitions the domains over N event-queue shards \
+         synchronized by conservative lookahead windows — deterministic \
+         for a fixed (seed, N), with outcome scalars that vary slightly \
+         across shard counts. Observability composes: --spans, \
+         --flight-recorder, --metrics and --contracts all work at any N \
+         (per-shard collectors merged deterministically after the run; see \
+         docs/OBSERVABILITY.md)."
+    and+ obs = obs_term in
+    let spec =
+      Runner.Internet
         {
           As_scenario.default with
           As_scenario.as_spec =
-            {
-              As_graph.default_spec with
-              As_graph.domains;
-              tier1;
-              multihome;
-              peer_p;
-            };
+            { g with As_graph.domains; tier1; multihome; peer_p };
           as_config =
             {
               Config.default with
@@ -1118,119 +912,78 @@ let internet_cmd =
                    ~r2:(Option.value r2 ~default:d.Contract.r2)
                    ()));
           as_audit =
-            {
-              Aitf_contract.Auditor.default_config with
-              Aitf_contract.Auditor.deadline = audit_deadline;
-              grace = audit_grace;
-            };
+            { Auditor.default_config with Auditor.deadline = audit_deadline;
+              grace = audit_grace };
           as_shards = shards;
         }
     in
-    obs_finish obs obs_ctx ~now:duration;
-    let table =
-      Table.create
-        ~title:
-          (Printf.sprintf "internet result (%s placement)"
-             (Placement.policy_to_string placement))
-        ~columns:[ "metric"; "value" ]
+    let tables _ (r : As_scenario.result) =
+      let open As_scenario in
+      let count n = string_of_int n in
+      [
+        result_table
+          ~title:
+            (Printf.sprintf "internet result (%s placement)"
+               (Placement.policy_to_string placement))
+          ([
+             ( "domains / attack / legit",
+               Printf.sprintf "%d / %d / %d" domains attack_domains legit_domains );
+             ("sources (attack / legit)", Printf.sprintf "%d / %d" sources legit_sources);
+             ("victim domain", count r.r_victim_domain);
+             ( "time-to-filter (s)",
+               match r.r_time_to_filter with
+               | Some t -> Printf.sprintf "%.2f" t
+               | None -> "never" );
+             ( "collateral damage",
+               Printf.sprintf "%.1f%%" (100. *. r.r_collateral_fraction) );
+             ( "legit received / offered (MB)",
+               Printf.sprintf "%.2f / %.2f" (r.r_good_received_bytes /. 1e6)
+                 (r.r_good_offered_bytes /. 1e6) );
+             ( "attack bytes reaching victim (MB)",
+               Printf.sprintf "%.2f" (r.r_attack_received_bytes /. 1e6) );
+             ("filter slots (peak, all gateways)", count r.r_slots_peak);
+             ("filter installs (all gateways)", count r.r_filters_installed);
+             ("filtering requests sent", count r.r_requests_sent);
+           ]
+          @ (match r.r_ctl with
+            | Some ctl ->
+              [
+                ("placement reports", count (Placement_ctl.evidence ctl));
+                ("placement installs", count (Placement_ctl.installs ctl));
+                ("placement reclaims", count (Placement_ctl.reclaims ctl));
+                ("placement frontier pushes", count (Placement_ctl.pushes ctl));
+              ]
+            | None -> [ ("requests absorbed at pools", count r.r_absorbed) ])
+          @ (match verdict r with
+            | Some v ->
+              let n l = List.length l in
+              [
+                ("byzantine gateways (corrupted)", count (n v.v_byzantine));
+                ( "gateways flagged / missed / false-pos",
+                  Printf.sprintf "%d / %d / %d" (n v.v_flagged) (n v.v_missed)
+                    (n v.v_false_positives) );
+                ( "receipts verified / rejected",
+                  Printf.sprintf "%d / %d" v.v_receipts_verified
+                    v.v_receipts_rejected );
+                ("contract failovers", count r.r_failovers);
+              ]
+            | None -> [])
+          @ [ ("events processed", count r.r_events) ]
+          @
+          let module Sched = Aitf_parallel.Sched in
+          let st = r.r_sched_stats in
+          when_ (shards > 1)
+            [
+              ("shards", count shards);
+              ( "sync windows (shard / global)",
+                Printf.sprintf "%d / %d" st.Sched.windows st.Sched.global_batches );
+              ("cross-shard messages", count st.Sched.messages);
+              ("deferred mutations", count st.Sched.deferred);
+              ("barrier stall (s)", Printf.sprintf "%.3f" st.Sched.stall_seconds);
+            ]);
+      ]
     in
-    let add k v = Table.add_row table [ k; v ] in
-    add "domains / attack / legit"
-      (Printf.sprintf "%d / %d / %d" domains attack_domains legit_domains);
-    add "sources (attack / legit)"
-      (Printf.sprintf "%d / %d" sources legit_sources);
-    add "victim domain" (string_of_int r.As_scenario.r_victim_domain);
-    add "time-to-filter (s)"
-      (match r.As_scenario.r_time_to_filter with
-      | Some t -> Printf.sprintf "%.2f" t
-      | None -> "never");
-    add "collateral damage"
-      (Printf.sprintf "%.1f%%" (100. *. r.As_scenario.r_collateral_fraction));
-    add "legit received / offered (MB)"
-      (Printf.sprintf "%.2f / %.2f"
-         (r.As_scenario.r_good_received_bytes /. 1e6)
-         (r.As_scenario.r_good_offered_bytes /. 1e6));
-    add "attack bytes reaching victim (MB)"
-      (Printf.sprintf "%.2f" (r.As_scenario.r_attack_received_bytes /. 1e6));
-    add "filter slots (peak, all gateways)"
-      (string_of_int r.As_scenario.r_slots_peak);
-    add "filter installs (all gateways)"
-      (string_of_int r.As_scenario.r_filters_installed);
-    add "filtering requests sent" (string_of_int r.As_scenario.r_requests_sent);
-    (match r.As_scenario.r_ctl with
-    | Some ctl ->
-      add "placement reports" (string_of_int (Placement_ctl.evidence ctl));
-      add "placement installs" (string_of_int (Placement_ctl.installs ctl));
-      add "placement reclaims" (string_of_int (Placement_ctl.reclaims ctl));
-      add "placement frontier pushes" (string_of_int (Placement_ctl.pushes ctl))
-    | None -> add "requests absorbed at pools" (string_of_int r.As_scenario.r_absorbed));
-    (match r.As_scenario.r_auditor with
-    | None -> ()
-    | Some a ->
-      let module Auditor = Aitf_contract.Auditor in
-      let byz = List.map snd r.As_scenario.r_byzantine in
-      let flagged = Auditor.flagged a in
-      let missed =
-        List.filter (fun b -> not (List.mem b flagged)) byz
-      in
-      let false_pos =
-        List.filter (fun g -> not (List.mem g byz)) flagged
-      in
-      add "byzantine gateways (corrupted)" (string_of_int (List.length byz));
-      add "gateways flagged / missed / false-pos"
-        (Printf.sprintf "%d / %d / %d" (List.length flagged)
-           (List.length missed) (List.length false_pos));
-      add "receipts verified / rejected"
-        (Printf.sprintf "%d / %d"
-           (Auditor.receipts_verified a)
-           (Auditor.receipts_rejected a));
-      add "contract failovers" (string_of_int r.As_scenario.r_failovers));
-    add "events processed" (string_of_int r.As_scenario.r_events);
-    (if shards > 1 then begin
-       let module Sched = Aitf_parallel.Sched in
-       let st = r.As_scenario.r_sched_stats in
-       add "shards" (string_of_int shards);
-       add "sync windows (shard / global)"
-         (Printf.sprintf "%d / %d" st.Sched.windows st.Sched.global_batches);
-       add "cross-shard messages" (string_of_int st.Sched.messages);
-       add "deferred mutations" (string_of_int st.Sched.deferred);
-       add "barrier stall (s)" (Printf.sprintf "%.3f" st.Sched.stall_seconds)
-     end);
-    Table.print table;
-    match (registry, metrics) with
-    | Some reg, Some file ->
-      let module Json = Aitf_obs.Json in
-      let meta =
-        [
-          ("scenario", Json.String "internet");
-          ("placement", Json.String (Placement.policy_to_string placement));
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("domains", Json.Int domains);
-          ("sources", Json.Int sources);
-          ("attack_rate", Json.Float attack_rate);
-          ("contracts", Json.Bool contracts);
-          ("byzantine_fraction", Json.Float byzantine_fraction);
-          ("shards", Json.Int shards);
-        ]
-      in
-      (* The sched.* gauges are registered by the scenario itself (live
-         reads over the scheduler, including the per-window timeline);
-         the run report just adds the structured "parallel" section. *)
-      Aitf_obs.Report.write_json file
-        (Aitf_obs.Report.make ~meta ?parallel:r.As_scenario.r_parallel
-           ~series:[] ~now:duration reg);
-      Printf.printf "wrote %s (%d metrics)\n" file (Aitf_obs.Metrics.size reg)
-    | _ -> ()
-  in
-  let term =
-    Term.(
-      const run $ domains $ tier1 $ multihome $ peer_p $ placement
-      $ placement_epoch $ sources $ attack_domains $ legit_sources
-      $ legit_domains $ attack_rate $ legit_rate $ duration $ seed $ td
-      $ overload $ filter_capacity $ metrics $ contracts
-      $ byzantine_fraction $ lying_mode $ contract_r1 $ contract_r2
-      $ audit_deadline $ audit_grace $ shards $ obs_term)
+    execute ?metrics obs spec ~tables
   in
   Cmd.v
     (Cmd.info "internet"
@@ -1242,78 +995,66 @@ let internet_cmd =
 (* --- formulas --------------------------------------------------------------- *)
 
 let formulas_cmd =
-  let r1 = Arg.(value & opt (nonneg_float "--r1") 100. & info [ "r1" ] ~doc:"Client->provider request rate R1 (1/s).") in
-  let r2 = Arg.(value & opt (nonneg_float "--r2") 1. & info [ "r2" ] ~doc:"Provider->client request rate R2 (1/s).") in
-  let t_filter = Arg.(value & opt (pos_float "--t-filter") 60. & info [ "t-filter"; "T" ] ~doc:"Blocking interval T (s).") in
-  let t_tmp = Arg.(value & opt (pos_float "--ttmp") 0.6 & info [ "ttmp" ] ~doc:"Temporary filter horizon Ttmp (s).") in
-  let td = Arg.(value & opt (nonneg_float "--td") 0. & info [ "td" ] ~doc:"Detection delay Td (s).") in
-  let tr = Arg.(value & opt (nonneg_float "--tr") 0.05 & info [ "tr" ] ~doc:"Victim->gateway one-way delay Tr (s).") in
-  let n = Arg.(value & opt (min_int "--n" 0) 1 & info [ "n" ] ~doc:"Non-cooperating AITF nodes on the path.") in
-  let show r1 r2 t_filter t_tmp td tr n =
-    let table =
-      Table.create ~title:"Section IV formulas" ~columns:[ "quantity"; "value" ]
-    in
-    let add k v = Table.add_row table [ k; v ] in
-    add "r = n(Td+Tr)/T"
-      (Printf.sprintf "%.6f"
-         (Formulas.effective_bandwidth_ratio ~n ~td ~tr ~t_filter));
-    add "Nv = R1*T (protected flows)"
-      (string_of_int (Formulas.protected_flows ~r1 ~t_filter));
-    add "nv = R1*Ttmp (victim-gw filters)"
-      (string_of_int (Formulas.victim_gateway_filters ~r1 ~t_tmp));
-    add "mv = R1*T (victim-gw shadow)"
-      (string_of_int (Formulas.victim_gateway_shadow ~r1 ~t_filter));
-    add "na = R2*T (attacker-side filters)"
-      (string_of_int (Formulas.attacker_gateway_filters ~r2 ~t_filter));
-    add "min Ttmp (traceback + handshake)"
-      (Printf.sprintf "%.3f" (Formulas.min_t_tmp ~traceback_time:0. ~handshake_time:0.6));
-    Table.print table
+  let term =
+    let+ r1 = arg nonneg_float "r1" 100. "Client->provider request rate R1 (1/s)."
+    and+ r2 = arg nonneg_float "r2" 1. "Provider->client request rate R2 (1/s)."
+    and+ t_filter = arg pos_float "t-filter" ~names:[ "T" ] 60. "Blocking interval T (s)."
+    and+ t_tmp = arg pos_float "ttmp" 0.6 "Temporary filter horizon Ttmp (s)."
+    and+ td = arg nonneg_float "td" 0. "Detection delay Td (s)."
+    and+ tr = arg nonneg_float "tr" 0.05 "Victim->gateway one-way delay Tr (s)."
+    and+ n = arg (min_int 0) "n" 1 "Non-cooperating AITF nodes on the path." in
+    Table.print
+      (result_table ~title:"Section IV formulas" ~columns:[ "quantity"; "value" ]
+         [
+           ( "r = n(Td+Tr)/T",
+             Printf.sprintf "%.6f"
+               (Formulas.effective_bandwidth_ratio ~n ~td ~tr ~t_filter) );
+           ( "Nv = R1*T (protected flows)",
+             string_of_int (Formulas.protected_flows ~r1 ~t_filter) );
+           ( "nv = R1*Ttmp (victim-gw filters)",
+             string_of_int (Formulas.victim_gateway_filters ~r1 ~t_tmp) );
+           ( "mv = R1*T (victim-gw shadow)",
+             string_of_int (Formulas.victim_gateway_shadow ~r1 ~t_filter) );
+           ( "na = R2*T (attacker-side filters)",
+             string_of_int (Formulas.attacker_gateway_filters ~r2 ~t_filter) );
+           ( "min Ttmp (traceback + handshake)",
+             Printf.sprintf "%.3f"
+               (Formulas.min_t_tmp ~traceback_time:0. ~handshake_time:0.6) );
+         ])
   in
-  let term = Term.(const show $ r1 $ r2 $ t_filter $ t_tmp $ td $ tr $ n) in
   Cmd.v (Cmd.info "formulas" ~doc:"Evaluate the paper's closed-form model.") term
 
 (* --- matrix ----------------------------------------------------------------- *)
 
 let matrix_cmd =
   let module Matrix = Aitf_workload.Matrix in
-  let goldens =
-    Arg.(value & opt string "test/goldens" & info [ "goldens" ] ~docv:"DIR"
-           ~doc:"Directory holding the checked-in golden documents.")
-  in
-  let bless =
-    Arg.(value & flag & info [ "bless" ]
-           ~doc:"Regenerate the goldens from this run instead of comparing \
-                 (the intentional-change path; see docs/GOLDENS.md).")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Run only the reduced CI cell set.")
-  in
-  let only =
-    Arg.(value & opt_all string [] & info [ "only" ] ~docv:"CELL"
-           ~doc:"Run only the named cell (repeatable).")
-  in
-  let bench_json =
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE"
-           ~doc:"Write the per-cell perf trajectory (wall-clock, allocated \
-                 bytes, peak queue depth, engine events; schema \
-                 aitf.matrix-bench/1) — what CI uploads as BENCH_E19.json.")
-  in
-  let list =
-    Arg.(value & flag & info [ "list" ] ~doc:"List the cell ids and exit.")
-  in
-  let shards =
-    Arg.(value & opt (min_int "--shards" 1) 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"Run the unpinned internet cells (contract cells included) \
-                 on the parallel engine with N shards; -shard<K> cells \
-                 keep their pinned count. Span tracing stays on — the \
-                 per-cell span_digest in --bench-json is shard-invariant. \
-                 Sharded documents still differ from the 1-shard goldens \
-                 in outcome scalars, so pair with --bless into a scratch \
-                 --goldens directory — the determinism-stress regime CI \
-                 uses. See docs/PARALLEL.md.")
-  in
-  let run goldens bless smoke only bench_json list shards =
+  let term =
+    let+ goldens =
+      Arg.(value & opt string "test/goldens" & info [ "goldens" ] ~docv:"DIR"
+             ~doc:"Directory holding the checked-in golden documents.")
+    and+ bless =
+      switch "bless"
+        "Regenerate the goldens from this run instead of comparing (the \
+         intentional-change path; see docs/GOLDENS.md)."
+    and+ smoke = switch "smoke" "Run only the reduced CI cell set."
+    and+ only =
+      Arg.(value & opt_all string [] & info [ "only" ] ~docv:"CELL"
+             ~doc:"Run only the named cell (repeatable).")
+    and+ bench_json =
+      file_arg "bench-json"
+        "Write the per-cell perf trajectory (wall-clock, allocated bytes, \
+         peak queue depth, engine events; schema aitf.matrix-bench/1) — \
+         what CI uploads as BENCH_E19.json."
+    and+ list = switch "list" "List the cell ids and exit."
+    and+ shards =
+      arg (min_int 1) "shards" 1 ~docv:"N"
+        "Run the unpinned internet cells (contract cells included) on the \
+         parallel engine with N shards; -shard<K> cells keep their pinned \
+         count. Span tracing stays on — the per-cell span_digest in \
+         --bench-json is shard-invariant. Sharded documents still differ \
+         from the 1-shard goldens in outcome scalars, so pair with --bless \
+         into a scratch --goldens directory — the determinism-stress regime \
+         CI uses. See docs/PARALLEL.md." in
     if list then
       List.iter
         (fun c ->
@@ -1321,10 +1062,7 @@ let matrix_cmd =
             (if c.Matrix.smoke then "  [smoke]" else ""))
         Matrix.cells
     else begin
-      let s =
-        Matrix.run ~clock:Unix.gettimeofday ~only ~smoke ~bless ~shards
-          ~goldens_dir:goldens ()
-      in
+      let s = Matrix.run ~only ~smoke ~bless ~shards ~goldens_dir:goldens () in
       Matrix.print_summary s;
       Option.iter
         (fun file ->
@@ -1333,10 +1071,6 @@ let matrix_cmd =
         bench_json;
       if s.Matrix.s_drifted > 0 || s.Matrix.s_disagreements > 0 then exit 1
     end
-  in
-  let term =
-    Term.(
-      const run $ goldens $ bless $ smoke $ only $ bench_json $ list $ shards)
   in
   Cmd.v
     (Cmd.info "matrix"
@@ -1351,59 +1085,30 @@ let matrix_cmd =
 
 let replay_cmd =
   let module Replay = Aitf_workload.Replay in
-  let shape =
-    Arg.(value
-         & opt (enum [ ("pulse", `Pulse); ("churn", `Churn);
-                       ("booter", `Booter); ("carpet", `Carpet) ]) `Pulse
-         & info [ "shape" ] ~docv:"pulse|churn|booter|carpet"
-             ~doc:"Attack shape the trace synthesizer generates (ignored \
-                   with --trace-in).")
-  in
-  let trace_in =
-    Arg.(value & opt (some string) None & info [ "trace-in" ] ~docv:"FILE"
-           ~doc:"Replay this trace file instead of synthesizing one.")
-  in
-  let emit =
-    Arg.(value & flag & info [ "emit-trace" ]
-           ~doc:"Print the canonical trace to stdout and exit without \
-                 running it.")
-  in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("packet", `Packet); ("hybrid", `Hybrid) ]) `Packet
-         & info [ "engine" ] ~docv:"packet|hybrid"
-             ~doc:"Engine the trace is driven through.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Synthesizer seed.")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 30. & info [ "duration" ]
-           ~docv:"SECONDS" ~doc:"Synthesized trace horizon.")
-  in
-  let rate =
-    Arg.(value & opt (nonneg_float "--rate") 20e6 & info [ "rate" ]
-           ~docv:"BITS/S" ~doc:"Total attack rate per pool.")
-  in
-  let n =
-    Arg.(value & opt (min_int "--sources" 1) 64 & info [ "n"; "sources" ]
-           ~docv:"K" ~doc:"Sources per pool.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-           ~doc:"Write the victim-observed attack-rate series as CSV.")
-  in
-  let run shape trace_in emit engine seed duration rate n csv =
+  let term =
+    let+ shape =
+      Arg.(value
+           & opt (enum [ ("pulse", `Pulse); ("churn", `Churn);
+                         ("booter", `Booter); ("carpet", `Carpet) ]) `Pulse
+           & info [ "shape" ] ~docv:"pulse|churn|booter|carpet"
+               ~doc:"Attack shape the trace synthesizer generates (ignored \
+                     with --trace-in).")
+    and+ trace_in =
+      file_arg "trace-in" "Replay this trace file instead of synthesizing one."
+    and+ emit =
+      switch "emit-trace"
+        "Print the canonical trace to stdout and exit without running it."
+    and+ engine = engine
+    and+ seed = seed ~doc:"Synthesizer seed." ()
+    and+ duration = duration 30.
+    and+ rate =
+      arg nonneg_float "rate" 20e6 ~docv:"BITS/S" "Total attack rate per pool."
+    and+ n = arg (min_int 1) "sources" ~names:[ "n" ] 64 ~docv:"K" "Sources per pool."
+    and+ csv = csv in
     let trace =
       match trace_in with
-      | Some file ->
-        let ic = open_in_bin file in
-        let text =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        (match Replay.parse text with
+      | Some file -> (
+        match Replay.parse (In_channel.with_open_bin file In_channel.input_all) with
         | Ok t -> t
         | Error e ->
           Printf.eprintf "aitf_sim replay: %s: %s\n" file e;
@@ -1417,46 +1122,34 @@ let replay_cmd =
     in
     if emit then print_string (Replay.to_string trace)
     else begin
-      let r = Replay.run ~engine trace in
-      let table =
-        Table.create ~title:"replay result" ~columns:[ "quantity"; "value" ]
+      let mb x = Printf.sprintf "%.2f" (x /. 1e6) in
+      let tables _ (r : Replay.result) =
+        let open Replay in
+        [
+          result_table ~title:"replay result" ~columns:[ "quantity"; "value" ]
+            [
+              ("engine", if engine = Config.Hybrid then "hybrid" else "packet");
+              ("pools", string_of_int (List.length trace.tr_pools));
+              ("events", string_of_int (List.length trace.tr_events));
+              ("attack offered (MB)", mb r.rr_attack_offered_bytes);
+              ("attack received (MB)", mb r.rr_attack_received_bytes);
+              ("good offered (MB)", mb r.rr_good_offered_bytes);
+              ("good received (MB)", mb r.rr_good_received_bytes);
+              ("requests sent", string_of_int r.rr_requests_sent);
+              ("filters installed", string_of_int r.rr_filters);
+              ("requests absorbed", string_of_int r.rr_absorbed);
+              ("engine events", string_of_int r.rr_events);
+            ];
+        ]
       in
-      let add k v = Table.add_row table [ k; v ] in
-      let engine_name =
-        match engine with `Packet -> "packet" | `Hybrid -> "hybrid"
+      let spec = Runner.Replay ({ Config.default with Config.engine }, trace) in
+      let csv =
+        Option.map
+          (fun f -> (f, "time,attack_bits_per_s\n", Printf.sprintf "%g,%g\n"))
+          csv
       in
-      add "engine" engine_name;
-      add "pools" (string_of_int (List.length trace.Replay.tr_pools));
-      add "events" (string_of_int (List.length trace.Replay.tr_events));
-      add "attack offered (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_attack_offered_bytes /. 1e6));
-      add "attack received (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_attack_received_bytes /. 1e6));
-      add "good offered (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_good_offered_bytes /. 1e6));
-      add "good received (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_good_received_bytes /. 1e6));
-      add "requests sent" (string_of_int r.Replay.rr_requests_sent);
-      add "filters installed" (string_of_int r.Replay.rr_filters);
-      add "requests absorbed" (string_of_int r.Replay.rr_absorbed);
-      add "engine events" (string_of_int r.Replay.rr_events);
-      Table.print table;
-      Option.iter
-        (fun file ->
-          let oc = open_out file in
-          output_string oc "time,attack_bits_per_s\n";
-          List.iter
-            (fun (t, v) -> Printf.fprintf oc "%g,%g\n" t v)
-            (Series.points r.Replay.rr_victim_rate);
-          close_out oc;
-          Printf.printf "wrote %s\n" file)
-        csv
+      execute ?csv no_obs spec ~tables
     end
-  in
-  let term =
-    Term.(
-      const run $ shape $ trace_in $ emit $ engine $ seed $ duration $ rate
-      $ n $ csv)
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1466,9 +1159,9 @@ let replay_cmd =
     term
 
 let () =
-  (* Parallel-engine barrier stalls are measured on the real clock for
-     every command (the library default is a zero clock so pure-library
-     users stay deterministic). *)
+  (* The process's one wall clock: parallel-engine barrier stalls and the
+     golden matrix's per-cell timings read it (the library default is
+     process CPU time, which sums over domains). *)
   Aitf_parallel.Sched.set_default_clock Unix.gettimeofday;
   let info =
     Cmd.info "aitf_sim" ~version:"1.0.0"

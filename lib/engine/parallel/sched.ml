@@ -85,6 +85,7 @@ let ctx_key : (int * Sim.t) option Domain.DLS.key =
 
 let default_clock = ref Sys.time
 let set_default_clock f = default_clock := f
+let default_clock () = !default_clock
 
 (* How observability splits across shards. Each shard world gets a child
    of the parent's context: the parent's registry (registration is
@@ -156,7 +157,7 @@ let create ?(obs = Obs.create ()) ~shards () =
         failure = None;
       };
     running = false;
-    clock = !default_clock;
+    clock = default_clock ();
     s_windows = 0;
     s_global = 0;
     s_messages = 0;

@@ -152,7 +152,14 @@ val set_clock : t -> (unit -> float) -> unit
 val set_default_clock : (unit -> float) -> unit
 (** Clock inherited by every scheduler created afterwards — how the CLI
     reaches schedulers that scenarios create internally (this library
-    cannot depend on [unix] itself). *)
+    cannot depend on [unix] itself). Install it once at start-up: it is
+    also the wall clock every other timing in the libraries reads
+    ({!default_clock}). *)
+
+val default_clock : unit -> unit -> float
+(** The clock {!set_default_clock} last installed ([Sys.time] until
+    then) — the process's one wall clock, e.g. for the golden matrix's
+    per-cell timings. *)
 
 val register_metrics : t -> Aitf_obs.Metrics.t -> prefix:string -> unit
 (** Register pull gauges over the live scheduler in [reg]:

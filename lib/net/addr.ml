@@ -69,3 +69,11 @@ let prefix_compare p q =
   if c <> 0 then c else Int.compare p.len q.len
 
 let host_prefix a = { base = a; len = 32 }
+
+let cover base ~n =
+  let last = add base (n - 1) in
+  let len = ref 32 in
+  while !len > 0 && not (prefix_mem (prefix base !len) last) do
+    decr len
+  done;
+  prefix base !len

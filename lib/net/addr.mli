@@ -52,3 +52,7 @@ val prefix_compare : prefix -> prefix -> int
 
 val host_prefix : t -> prefix
 (** The /32 prefix containing exactly one address. *)
+
+val cover : t -> n:int -> prefix
+(** The longest prefix containing the [n] contiguous addresses from the
+    given base on. *)

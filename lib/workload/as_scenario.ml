@@ -3,7 +3,6 @@ module Rng = Aitf_engine.Rng
 module Sched = Aitf_parallel.Sched
 module Series = Aitf_stats.Series
 module Fluid = Aitf_flowsim.Fluid
-module Sampler = Aitf_flowsim.Sampler
 module Filter_table = Aitf_filter.Filter_table
 module Signing = Aitf_contract.Signing
 module Auditor = Aitf_contract.Auditor
@@ -113,17 +112,12 @@ let run ?obs p =
   if p.as_attack_domains + p.as_legit_domains > n - 1 - spec.As_graph.tier1
   then invalid_arg "As_scenario.run: not enough non-tier-1 domains for pools";
   let shards = p.as_shards in
-  if shards < 1 then
-    invalid_arg
-      (Printf.sprintf "As_scenario.run: as_shards must be >= 1 (got %d)"
-         shards);
-  let sched = Sched.create ?obs ~shards () in
-  let sim = Sched.global sched in
+  let w = World.create ?obs ~shards ~seed:p.as_seed () in
+  let sched = w.World.sched and sim = w.World.sim and rng = w.World.rng in
   Obs.with_metrics (Sim.obs sim) (fun reg ->
       if not (Metrics.registered reg "sched.windows") then
         Sched.register_metrics sched reg ~prefix:"sched";
       if shards > 1 then Sched.set_window_log sched ~max:20_000);
-  let rng = Rng.create ~seed:p.as_seed in
   (* Generation is plan -> (picks) -> partition -> materialise: the picks
      draw from the same stream position as they did when [As_graph.build]
      ran first, and partitioning consumes no randomness, so 1-shard runs
@@ -229,11 +223,7 @@ let run ?obs p =
   Option.iter
     (fun c -> Placement_ctl.register_gateways ~defer:(Sched.defer sched) c gws)
     ctl;
-  Array.iter
-    (fun gw ->
-      Fluid.attach_table ~defer:(Sched.defer sched) eng
-        ~node:(Gateway.node gw) (Gateway.filters gw))
-    gws;
+  World.attach_tables ~defer:(Sched.defer sched) eng (Array.to_list gws);
   let victim =
     Host_agent.Victim.create ~td:p.as_td
       ~gateway:(As_graph.router graph vdom).Node.addr
@@ -317,33 +307,23 @@ let run ?obs p =
         (auditor, List.map (fun d -> (d, Gateway.addr gws.(d))) byz, failovers)
     end
   in
-  let frng = Rng.split rng in
-  let probe_rate =
-    let r = config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
-  in
+  let plane = World.fluid_plane w config eng in
   let absorbed = ref [] in
   let add_pools pools ~off ~total_sources ~total_rate ~attack ~start ~fid0 =
-    let k = List.length pools in
-    let base_n = total_sources / k and rem = total_sources mod k in
     List.iteri
       (fun j (d, pool) ->
-        let cnt = base_n + if j < rem then 1 else 0 in
+        let cnt, rate =
+          World.share ~sources:total_sources ~rate:total_rate
+            ~pools:(List.length pools) j
+        in
         if cnt > 0 then begin
-          let rate =
-            total_rate *. float_of_int cnt /. float_of_int total_sources
-          in
-          let agg =
-            Fluid.add_aggregate eng ~flow_id:(fid0 + j) ~origin:pool
-              ~src_base:(Addr.add (base_of d) off)
-              ~n:cnt ~rate ~dst:victim_addr ~attack ~start
-          in
-          if attack then begin
+          if attack then
             absorbed := Fluid_bridge.absorb_pool_requests pool :: !absorbed;
-            ignore
-              (Sampler.attach ?rate:probe_rate ~sim:(sim_of_as d)
-                 ~rng:(Rng.split frng) eng agg)
-          end
+          ignore
+            (World.source
+               ~src_base:(Addr.add (base_of d) off)
+               ~n:cnt ~probe_sim:(sim_of_as d) plane ~flow_id:(fid0 + j) ~rate
+               ~dst:victim_addr ~attack ~start pool)
         end)
       pools
   in
@@ -352,27 +332,14 @@ let run ?obs p =
     ~fid0:1000;
   add_pools legit_pools ~off:legit_off ~total_sources:p.as_legit_sources
     ~total_rate:p.as_legit_rate ~attack:false ~start:0. ~fid0:2000;
-  let series = Series.create ~name:"victim-attack-rate" () in
-  let vmeter = Fluid_bridge.victim_meter eng in
-  let rec sample t =
-    if t <= p.as_duration then
-      ignore
-        (Sim.at sim t (fun () ->
-             Series.add series ~time:t
-               (Fluid_bridge.victim_attack_rate vmeter ~now:t);
-             sample (t +. p.as_sample_period)))
+  let series =
+    World.sample_victim_rate w plane
+      ~meter:(Host_agent.Victim.attack_meter victim)
+      ~period:p.as_sample_period ~until:p.as_duration
   in
-  sample p.as_sample_period;
-  Sched.run ~until:p.as_duration sched;
-  let slots_peak =
-    Array.fold_left
-      (fun acc gw -> acc + Filter_table.peak_occupancy (Gateway.filters gw))
-      0 gws
-  in
-  let installed =
-    Array.fold_left
-      (fun acc gw -> acc + Filter_table.installs (Gateway.filters gw))
-      0 gws
+  World.run w ~until:p.as_duration;
+  let over_tables f =
+    Array.fold_left (fun acc gw -> acc + f (Gateway.filters gw)) 0 gws
   in
   let good_offered = p.as_legit_rate *. p.as_duration /. 8. in
   let good_received = Fluid.delivered_bits eng ~attack:false /. 8. in
@@ -396,69 +363,6 @@ let run ?obs p =
       | Some (t, _) -> Some (t -. p.as_attack_start)
       | None -> None (* still above threshold when the run ended *))
   in
-  (* The run report's "parallel" section: final synchronization counters,
-     a per-shard event breakdown, and (when the window log was armed) the
-     per-window timeline of horizon / barrier stall / event counts. *)
-  let r_parallel =
-    if shards <= 1 then None
-    else begin
-      let st = Sched.stats sched in
-      let finite_or_inf x =
-        if Float.is_finite x then Json.Float x else Json.String "inf"
-      in
-      let per_shard =
-        Array.to_list
-          (Array.mapi
-             (fun i e ->
-               Json.Obj [ ("shard", Json.Int i); ("events", Json.Int e) ])
-             (Sched.shard_events sched))
-      in
-      let timeline =
-        match Sched.window_log sched with
-        | [] -> []
-        | wl ->
-          [
-            ( "window_timeline",
-              Json.Obj
-                [
-                  ("dropped", Json.Int (Sched.window_log_dropped sched));
-                  ( "points",
-                    Json.List
-                      (List.map
-                         (fun (w : Sched.window_record) ->
-                           Json.Obj
-                             [
-                               ("horizon", Json.Float w.Sched.w_horizon);
-                               ("stall_seconds", Json.Float w.Sched.w_stall);
-                               ( "events",
-                                 Json.List
-                                   (Array.to_list
-                                      (Array.map
-                                         (fun e -> Json.Int e)
-                                         w.Sched.w_events)) );
-                               ("messages", Json.Int w.Sched.w_messages);
-                               ("deferred", Json.Int w.Sched.w_deferred);
-                             ])
-                         wl) );
-                ] );
-          ]
-      in
-      Some
-        (Json.Obj
-           ([
-              ("shards", Json.Int shards);
-              ("lookahead", finite_or_inf (Sched.lookahead sched));
-              ("windows", Json.Int st.Sched.windows);
-              ("global_batches", Json.Int st.Sched.global_batches);
-              ("messages", Json.Int st.Sched.messages);
-              ("deferred", Json.Int st.Sched.deferred);
-              ("stall_seconds", Json.Float st.Sched.stall_seconds);
-              ("global_events", Json.Int (Sim.events_processed sim));
-              ("per_shard", Json.List per_shard);
-            ]
-           @ timeline))
-    end
-  in
   {
     r_params = p;
     r_graph = graph;
@@ -475,16 +379,59 @@ let run ?obs p =
        else 0.);
     r_victim_rate = series;
     r_time_to_filter = time_to_filter;
-    r_slots_peak = slots_peak;
-    r_filters_installed = installed;
+    r_slots_peak = over_tables Filter_table.peak_occupancy;
+    r_filters_installed = over_tables Filter_table.installs;
     r_requests_sent = Host_agent.Victim.requests_sent victim;
     r_reports = (match ctl with Some c -> Placement_ctl.evidence c | None -> 0);
     r_absorbed = List.fold_left (fun acc r -> acc + !r) 0 !absorbed;
-    r_events = Sched.events_processed sched;
+    r_events = World.events w;
     r_auditor = Option.map (fun (a, _, _) -> a) contracts;
     r_byzantine = (match contracts with Some (_, b, _) -> b | None -> []);
     r_failovers = (match contracts with Some (_, _, f) -> !f | None -> 0);
     r_shards = shards;
     r_sched_stats = Sched.stats sched;
-    r_parallel;
+    r_parallel = World.parallel_report w;
   }
+
+(* docs/CONTRACTS.md's verification regime: a small graph whose victim
+   gateway is capacity-constrained (so misbehaviour is visible at the
+   victim) and the fast audit clock. *)
+let contract_regime =
+  {
+    default with
+    as_spec = { As_graph.default_spec with As_graph.domains = 60 };
+    as_config =
+      { Config.default with Config.engine = Config.Hybrid; filter_capacity = 150 };
+    as_seed = 42;
+    as_duration = 15.;
+    as_sources = 400;
+    as_attack_domains = 8;
+    as_legit_domains = 4;
+    as_contracts = true;
+    as_lying_mode = Adversary.Forge;
+    as_audit = { Auditor.default_config with deadline = 0.75; grace = 0.35 };
+  }
+
+type verdict = {
+  v_byzantine : Addr.t list;
+  v_flagged : Addr.t list;
+  v_missed : Addr.t list;
+  v_false_positives : Addr.t list;
+  v_receipts_verified : int;
+  v_receipts_rejected : int;
+}
+
+let verdict r =
+  Option.map
+    (fun a ->
+      let byz = List.map snd r.r_byzantine in
+      let flagged = Auditor.flagged a in
+      {
+        v_byzantine = byz;
+        v_flagged = flagged;
+        v_missed = List.filter (fun b -> not (List.mem b flagged)) byz;
+        v_false_positives = List.filter (fun g -> not (List.mem g byz)) flagged;
+        v_receipts_verified = Auditor.receipts_verified a;
+        v_receipts_rejected = Auditor.receipts_rejected a;
+      })
+    r.r_auditor

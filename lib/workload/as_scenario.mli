@@ -122,3 +122,26 @@ val run : ?obs:Aitf_obs.Obs.t -> params -> result
     plan (at most 2^15 attack sources and 2^14 legitimate sources per
     domain) or the domain counts exceed the non-tier-1 domains, or when
     [as_shards < 1]. *)
+
+(** {1 Contract regime and auditor verdict} *)
+
+val contract_regime : params
+(** The validated verification regime of docs/CONTRACTS.md: a 60-domain
+    graph, 400 attack sources over 8 domains, 4 legitimate domains, a
+    150-slot filter capacity that makes a lying first hop visible at the
+    victim, seed 42, 15 s, contracts on in forge mode with the fast audit
+    clock (deadline 0.75 s, grace 0.35 s) and no gateway corrupted — set
+    [as_byzantine_fraction] to corrupt some. *)
+
+type verdict = {
+  v_byzantine : Addr.t list;  (** gateways corrupted at setup *)
+  v_flagged : Addr.t list;  (** gateways the auditor convicted *)
+  v_missed : Addr.t list;  (** corrupted but never flagged *)
+  v_false_positives : Addr.t list;  (** flagged but honest *)
+  v_receipts_verified : int;  (** install receipts that checked out *)
+  v_receipts_rejected : int;  (** receipts with a bad signature *)
+}
+
+val verdict : result -> verdict option
+(** The auditor's score against the ground truth; [None] without
+    contracts. *)

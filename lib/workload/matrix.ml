@@ -4,7 +4,6 @@ module Profile = Aitf_obs.Profile
 module Series = Aitf_stats.Series
 module Fault = Aitf_fault.Fault
 module Adversary = Aitf_adversary.Adversary
-module Auditor = Aitf_contract.Auditor
 open Aitf_core
 
 type cell = {
@@ -94,206 +93,8 @@ let cell_adversaries = function
   | "slotx" -> [ Adversary.Slot_exhaustion { sources = 32; rate = 4e6 } ]
   | a -> invalid_arg ("Matrix: unknown adversary " ^ a)
 
-let cell_placement = function
-  | "vanilla" -> Placement.Vanilla
-  | "optimal" -> Placement.Optimal
-  | "adaptive" -> Placement.Adaptive
-  | p -> invalid_arg ("Matrix: unknown placement " ^ p)
-
-(* A cell's scenario body returns the outcome fields (canonical order —
-   they are serialized as given) and the victim-rate series. Outcome keys
-   are shared across topologies where the quantity is the same thing
-   (attack/good received bytes), so engine pairing can compare them. *)
-
-let fl x = Json.Float x
-let it n = Json.Int n
-
-let run_chain_cell ~obs cell () =
-  let open Scenarios in
-  let p =
-    {
-      default_chain with
-      config = { Config.default with Config.engine = config_engine cell.engine };
-      seed = 11;
-      duration = 12.;
-      attack_rate = 20e6;
-      legit_rate = 1e6;
-      td = 0.1;
-      sample_period = 0.5;
-      ctrl_faults = cell_faults cell.fault;
-      adversaries = cell_adversaries cell.adversary;
-      adversary_start = 1.;
-      in_pool_legit_rate = (if cell.adversary = "calm" then 0. else 5e5);
-    }
-  in
-  let r = run_chain ~obs p in
-  let gws =
-    r.deployed.Aitf_topo.Chain.victim_gateways
-    @ r.deployed.Aitf_topo.Chain.attacker_gateways
-  in
-  ( [
-      ("attack_offered_bytes", fl r.attack_offered_bytes);
-      ("attack_received_bytes", fl r.attack_received_bytes);
-      ("good_offered_bytes", fl r.good_offered_bytes);
-      ("good_received_bytes", fl r.good_received_bytes);
-      ("r_measured", fl r.r_measured);
-      ("escalations", it r.escalations);
-      ("requests_sent", it r.requests_sent);
-      ("filters", it (counter_total gws "filter-temp"
-                      + counter_total gws "filter-long"));
-      ("faults_injected", it r.faults_injected);
-      ("collateral_packets", it r.collateral_packets);
-      ("events", it r.events_processed);
-    ],
-    r.victim_rate )
-
-let run_flood_cell ~obs cell () =
-  let open Scenarios in
-  let p =
-    {
-      default_flood with
-      flood_config =
-        {
-          (Config.with_timescale Config.default 0.1) with
-          Config.engine = config_engine cell.engine;
-        };
-      flood_duration = 10.;
-      zombies = 6;
-      flood_sample_period = 0.5;
-    }
-  in
-  let r = run_flood ~obs p in
-  ( [
-      ("attack_received_bytes", fl r.flood_attack_received_bytes);
-      ("good_offered_bytes", fl r.legit_offered_bytes);
-      ("good_received_bytes", fl r.legit_received_bytes);
-      ("zombies_placed", it r.zombies_placed);
-      ("leaf_filters", it r.leaf_filters);
-      ("isp_filters", it r.isp_filters);
-      ("events", it r.flood_events);
-    ],
-    Series.create ~name:"victim-attack-rate" () )
-
-let run_swarm_cell ~obs _cell () =
-  let open Scenarios in
-  let p =
-    {
-      default_swarm with
-      swarm_duration = 10.;
-      swarm_sources = 512;
-      swarm_pools = 2;
-      swarm_sample_period = 0.5;
-    }
-  in
-  let r = run_swarm ~obs p in
-  ( [
-      ("attack_received_bytes", fl r.swarm_attack_received_bytes);
-      ("good_offered_bytes", fl r.swarm_good_offered_bytes);
-      ("good_received_bytes", fl r.swarm_good_received_bytes);
-      ("requests_sent", it r.swarm_requests_sent);
-      ("filters", it r.swarm_filters);
-      ("absorbed", it r.swarm_absorbed);
-      ("events", it r.swarm_events);
-    ],
-    r.swarm_victim_rate )
-
-let run_internet_cell ~obs ?(shards = 1) cell () =
-  let open As_scenario in
-  let contracts = cell.adversary = "contract" || cell.adversary = "lying" in
-  let p =
-    if not contracts then
-      {
-        default with
-        as_spec =
-          {
-            Aitf_topo.As_graph.default_spec with
-            Aitf_topo.As_graph.domains = 150;
-            tier1 = 3;
-          };
-        as_config =
-          {
-            Config.default with
-            Config.engine = Config.Hybrid;
-            placement = cell_placement cell.placement;
-          };
-        as_seed = 9;
-        as_duration = 10.;
-        as_sources = 20_000;
-        as_attack_domains = 8;
-        as_legit_domains = 4;
-        as_legit_sources = 2_000;
-        as_sample_period = 0.5;
-      }
-    else
-      (* The contract cells run docs/CONTRACTS.md's verification regime:
-         a small graph whose victim gateway is capacity-constrained (so
-         misbehaviour is visible at the victim) and the fast audit
-         clock. The lying cell corrupts a quarter of the attack-side
-         gateways to forge receipts — the affirmative-evidence mode the
-         auditor must catch with zero false positives. *)
-      {
-        default with
-        as_spec =
-          {
-            Aitf_topo.As_graph.default_spec with
-            Aitf_topo.As_graph.domains = 60;
-          };
-        as_config =
-          {
-            Config.default with
-            Config.engine = Config.Hybrid;
-            placement = cell_placement cell.placement;
-            filter_capacity = 150;
-          };
-        as_seed = 42;
-        as_duration = 15.;
-        as_sources = 400;
-        as_attack_domains = 8;
-        as_legit_domains = 4;
-        as_sample_period = 0.5;
-        as_contracts = true;
-        as_byzantine_fraction = (if cell.adversary = "lying" then 0.25 else 0.);
-        as_lying_mode = Adversary.Forge;
-        as_audit = { Auditor.default_config with deadline = 0.75; grace = 0.35 };
-      }
-  in
-  let r = run ~obs { p with as_shards = shards } in
-  let base =
-    [
-      ("attack_received_bytes", fl r.r_attack_received_bytes);
-      ("good_offered_bytes", fl r.r_good_offered_bytes);
-      ("good_received_bytes", fl r.r_good_received_bytes);
-      ("collateral_fraction", fl r.r_collateral_fraction);
-      ( "time_to_filter",
-        match r.r_time_to_filter with Some t -> fl t | None -> Json.Null );
-      ("slots_peak", it r.r_slots_peak);
-      ("filters_installed", it r.r_filters_installed);
-      ("requests_sent", it r.r_requests_sent);
-      ("reports", it r.r_reports);
-      ("absorbed", it r.r_absorbed);
-      ("events", it r.r_events);
-    ]
-  in
-  let outcome =
-    match r.r_auditor with
-    | None -> base
-    | Some a ->
-      let byz = List.map snd r.r_byzantine in
-      let flagged = Auditor.flagged a in
-      let missed = List.filter (fun b -> not (List.mem b flagged)) byz in
-      let false_pos = List.filter (fun g -> not (List.mem g byz)) flagged in
-      base
-      @ [
-          ("byzantine", it (List.length byz));
-          ("flagged", it (List.length flagged));
-          ("missed", it (List.length missed));
-          ("false_positives", it (List.length false_pos));
-          ("receipts_verified", it (Auditor.receipts_verified a));
-          ("receipts_rejected", it (Auditor.receipts_rejected a));
-          ("failovers", it r.r_failovers);
-        ]
-  in
-  (outcome, r.r_victim_rate)
+let cell_placement p =
+  match Placement.policy_of_string p with Ok p -> p | Error e -> invalid_arg e
 
 (* Synthesized traces carry only attack pools; splice in a constant
    1 Mbit/s legit pool so the engine-agreement gate below has the same
@@ -329,36 +130,95 @@ let replay_trace shape =
       Replay.synth_carpet ~seed:5 ~duration:12. ~rate:20e6 ~n:16 ()
     | t -> invalid_arg ("Matrix: unknown replay shape " ^ t))
 
-let run_replay_cell ~obs cell () =
-  let trace = replay_trace cell.topo in
-  let engine =
-    match cell.engine with "packet" -> `Packet | _ -> `Hybrid
-  in
-  let r = Replay.run ~obs ~engine trace in
-  ( [
-      ("trace", Json.String (Replay.to_string trace));
-      ("attack_offered_bytes", fl r.Replay.rr_attack_offered_bytes);
-      ("attack_received_bytes", fl r.Replay.rr_attack_received_bytes);
-      ("good_offered_bytes", fl r.Replay.rr_good_offered_bytes);
-      ("good_received_bytes", fl r.Replay.rr_good_received_bytes);
-      ("requests_sent", it r.Replay.rr_requests_sent);
-      ("filters", it r.Replay.rr_filters);
-      ("absorbed", it r.Replay.rr_absorbed);
-      ("events", it r.Replay.rr_events);
-    ],
-    r.Replay.rr_victim_rate )
-
-let cell_body ~obs ?shards cell =
+(* A cell's scenario: the family's spec with the cell's dimensions
+   applied. The runner returns the canonical outcome fields (serialized as
+   given) and the victim-rate series. *)
+let spec_of_cell ~shards cell =
+  let engine = config_engine cell.engine in
   match cell.topo with
-  | "chain" -> run_chain_cell ~obs cell
-  | "flood" -> run_flood_cell ~obs cell
-  | "swarm" -> run_swarm_cell ~obs cell
-  | "internet" -> run_internet_cell ~obs ?shards cell
+  | "chain" ->
+    Runner.Spec
+      (Runner.Chain
+         {
+           Scenarios.default_chain with
+           Scenarios.config = { Config.default with Config.engine };
+           seed = 11;
+           duration = 12.;
+           attack_rate = 20e6;
+           legit_rate = 1e6;
+           td = 0.1;
+           sample_period = 0.5;
+           ctrl_faults = cell_faults cell.fault;
+           adversaries = cell_adversaries cell.adversary;
+           adversary_start = 1.;
+           in_pool_legit_rate = (if cell.adversary = "calm" then 0. else 5e5);
+         })
+  | "flood" ->
+    Runner.Spec
+      (Runner.Flood
+         {
+           Scenarios.default_flood with
+           Scenarios.flood_config =
+             { (Config.with_timescale Config.default 0.1) with Config.engine };
+           flood_duration = 10.;
+           zombies = 6;
+           flood_sample_period = 0.5;
+         })
+  | "swarm" ->
+    Runner.Spec
+      (Runner.Swarm
+         {
+           Scenarios.default_swarm with
+           Scenarios.swarm_duration = 10.;
+           swarm_sources = 512;
+           swarm_pools = 2;
+           swarm_sample_period = 0.5;
+         })
+  | "internet" ->
+    let placement = cell_placement cell.placement in
+    let p =
+      match cell.adversary with
+      | "calm" ->
+        {
+          As_scenario.default with
+          As_scenario.as_spec =
+            {
+              Aitf_topo.As_graph.default_spec with
+              Aitf_topo.As_graph.domains = 150;
+              tier1 = 3;
+            };
+          as_config = { Config.default with Config.engine; placement };
+          as_seed = 9;
+          as_duration = 10.;
+          as_sources = 20_000;
+          as_attack_domains = 8;
+          as_legit_domains = 4;
+          as_legit_sources = 2_000;
+        }
+      | adversary ->
+        (* The contract cells run the verification regime; the lying cell
+           corrupts a quarter of the attack-side gateways to forge
+           receipts — the affirmative-evidence mode the auditor must
+           catch with zero false positives. *)
+        let r = As_scenario.contract_regime in
+        {
+          r with
+          As_scenario.as_config = { r.As_scenario.as_config with placement };
+          as_byzantine_fraction = (if adversary = "lying" then 0.25 else 0.);
+        }
+    in
+    Runner.Spec
+      (Runner.Internet
+         { p with As_scenario.as_sample_period = 0.5; as_shards = shards })
   | t when String.length t > 7 && String.sub t 0 7 = "replay-" ->
-    run_replay_cell ~obs cell
+    Runner.Spec
+      (Runner.Replay ({ Config.default with Config.engine }, replay_trace t))
   | t -> invalid_arg ("Matrix: unknown topology " ^ t)
 
 (* --- documents ------------------------------------------------------------- *)
+
+let fl x = Json.Float x
+let it n = Json.Int n
 
 let span_digest sp =
   let roots = Span.roots sp in
@@ -451,18 +311,6 @@ type summary = {
   s_disagreements : int;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
 (* One cell, instrumented: a fresh observer context per cell — span
    collector (its world mints corr ids from 1, so the digest is
    order-independent) and the engine profiler for queue depth and event
@@ -471,16 +319,21 @@ let write_file path contents =
    into per-shard collectors that the scheduler merges canonically back
    into [sp], so the document's span section and [cr_digest] are real
    fingerprints at any shard count. *)
-let run_cell ?(shards = 1) ~clock cell =
+let run_cell ?(shards = 1) cell =
   (* A cell pinned to a shard count keeps it; the caller's --shards
      overrides only the unpinned (1-shard) cells. *)
   let shards = if shards > 1 then shards else cell.shards in
   let sp = Span.create () in
   let prof = Profile.create () in
   let obs = Aitf_obs.Obs.create ~spans:sp ~profile:prof () in
+  let clock = Aitf_parallel.Sched.default_clock () in
   let a0 = Gc.allocated_bytes () in
   let t0 = clock () in
-  let outcome, series = cell_body ~obs ~shards cell () in
+  let outcome, series =
+    let (Runner.Spec spec) = spec_of_cell ~shards cell in
+    let o = Runner.run ~obs spec in
+    (o.Runner.fields, o.Runner.victim_rate)
+  in
   let wall = clock () -. t0 in
   let alloc_bytes = Gc.allocated_bytes () -. a0 in
   let doc = doc_of cell outcome series sp in
@@ -551,7 +404,7 @@ let pair_up results =
             [ "good_received_bytes"; "attack_received_bytes" ])
     results
 
-let run ?(clock = Sys.time) ?(only = []) ?(smoke = false) ?(bless = false)
+let run ?(only = []) ?(smoke = false) ?(bless = false)
     ?(shards = 1) ~goldens_dir () =
   if shards < 1 then invalid_arg "Matrix.run: shards must be >= 1";
   let selected =
@@ -564,15 +417,17 @@ let run ?(clock = Sys.time) ?(only = []) ?(smoke = false) ?(bless = false)
   let results =
     List.map
       (fun c ->
-        let r = run_cell ~shards ~clock c in
+        let r = run_cell ~shards c in
         let path = Filename.concat goldens_dir (c.id ^ ".json") in
         let status =
           if bless then begin
-            write_file path r.cr_doc;
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc r.cr_doc);
             Blessed
           end
           else if not (Sys.file_exists path) then Missing
-          else if read_file path = r.cr_doc then Match
+          else if In_channel.with_open_bin path In_channel.input_all = r.cr_doc
+          then Match
           else Drift
         in
         { r with cr_status = status })
@@ -599,29 +454,49 @@ let status_name = function
   | Missing -> "MISSING"
   | Blessed -> "blessed"
 
+let tables s =
+  let table title columns rows =
+    let t = Aitf_stats.Table.create ~title ~columns in
+    List.iter (Aitf_stats.Table.add_row t) rows;
+    t
+  in
+  let cells =
+    table "E19  golden-trace matrix: perf trajectory per cell"
+      [ "cell"; "golden"; "wall (s)"; "alloc MB"; "peak queue"; "events" ]
+      (List.map
+         (fun r ->
+           [
+             r.cr_cell.id;
+             status_name r.cr_status;
+             Printf.sprintf "%.3f" r.cr_perf.wall;
+             Printf.sprintf "%.1f" (r.cr_perf.alloc_bytes /. 1e6);
+             string_of_int r.cr_perf.peak_queue;
+             string_of_int r.cr_perf.engine_events;
+           ])
+         s.s_results)
+  in
+  let agree =
+    table "E19  matrix-wide engine agreement   (E17 gate, 10% on goodput)"
+      [ "pair"; "metric"; "packet"; "hybrid"; "diff %"; "verdict" ]
+      (List.map
+         (fun p ->
+           [
+             p.pr_base;
+             p.pr_metric;
+             Printf.sprintf "%.0f" p.pr_packet;
+             Printf.sprintf "%.0f" p.pr_hybrid;
+             Printf.sprintf "%.1f" (100. *. p.pr_diff);
+             (if not p.pr_gated then "info"
+              else if p.pr_ok then "AGREE"
+              else "DISAGREE");
+           ])
+         s.s_pairs)
+  in
+  if s.s_pairs = [] then [ cells ] else [ cells; agree ]
+
 let print_summary s =
-  Printf.printf "%-42s %-8s %9s %9s %7s %9s\n" "cell" "golden" "wall (s)"
-    "alloc MB" "peak q" "events";
-  List.iter
-    (fun r ->
-      Printf.printf "%-42s %-8s %9.2f %9.1f %7d %9d\n" r.cr_cell.id
-        (status_name r.cr_status) r.cr_perf.wall
-        (r.cr_perf.alloc_bytes /. 1e6)
-        r.cr_perf.peak_queue r.cr_perf.engine_events)
-    s.s_results;
-  if s.s_pairs <> [] then begin
-    Printf.printf "\n%-34s %-22s %12s %12s %7s %s\n" "engine pair" "metric"
-      "packet" "hybrid" "diff %" "verdict";
-    List.iter
-      (fun p ->
-        Printf.printf "%-34s %-22s %12.0f %12.0f %7.1f %s\n" p.pr_base
-          p.pr_metric p.pr_packet p.pr_hybrid (100. *. p.pr_diff)
-          (if not p.pr_gated then "info"
-           else if p.pr_ok then "AGREE"
-           else "DISAGREE"))
-      s.s_pairs
-  end;
-  Printf.printf "\n%d cells, %d drifted, %d disagreements\n"
+  List.iter Aitf_stats.Table.print (tables s);
+  Printf.printf "%d cells, %d drifted, %d disagreements\n"
     (List.length s.s_results) s.s_drifted s.s_disagreements
 
 let bench_json s =

@@ -59,14 +59,7 @@ let key_compare (n1, l1) (n2, l2) =
   if n1 <> n2 then compare (n1 : int) n2 else Flow_label.compare l1 l2
 
 (* Smallest prefix covering the aggregate's contiguous source range. *)
-let cover agg =
-  let base = Fluid.src_base agg in
-  let last = Addr.add base (Fluid.n_sources agg - 1) in
-  let len = ref 32 in
-  while !len > 0 && not (Addr.prefix_mem (Addr.prefix base !len) last) do
-    decr len
-  done;
-  Addr.prefix base !len
+let cover agg = Addr.cover (Fluid.src_base agg) ~n:(Fluid.n_sources agg)
 
 let usable t gw = not (Hashtbl.mem t.flagged (Gateway.addr gw))
 

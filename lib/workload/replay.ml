@@ -1,9 +1,7 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Series = Aitf_stats.Series
-module Rate_meter = Aitf_stats.Rate_meter
 module Fluid = Aitf_flowsim.Fluid
-module Sampler = Aitf_flowsim.Sampler
 module Json = Aitf_obs.Json
 open Aitf_net
 open Aitf_core
@@ -338,11 +336,8 @@ let offered_bytes trace ~attack =
 
 (* --- running --------------------------------------------------------------- *)
 
-type engine = [ `Packet | `Hybrid ]
-
 type result = {
   rr_trace : trace;
-  rr_engine : engine;
   rr_attack_offered_bytes : float;
   rr_attack_received_bytes : float;
   rr_good_offered_bytes : float;
@@ -354,16 +349,6 @@ type result = {
   rr_victim_rate : Series.t;
 }
 
-(* Smallest prefix covering the pool's contiguous source range — what the
-   pool node advertises so reverse control traffic routes back to it. *)
-let cover p =
-  let last = Addr.add p.p_base (p.p_n - 1) in
-  let len = ref 32 in
-  while !len > 0 && not (Addr.prefix_mem (Addr.prefix p.p_base !len) last) do
-    decr len
-  done;
-  Addr.prefix p.p_base !len
-
 (* Live membership of one pool as the run unfolds. Sources 0..live-1 are
    the ones on the wire, under both engines: the packet gate admits
    spoofed indices below [live], the fluid plane unblocks exactly those
@@ -373,136 +358,91 @@ type pstate = { mutable sending : bool; mutable active : int; mutable live : int
 let effective st = if st.sending then st.active else 0
 
 let run ?obs ?(spec = Chain.default_spec) ?(config = Config.default)
-    ?(td = 0.1) ?(sample_period = 0.5) ~engine trace =
+    ?(td = 0.1) ?(sample_period = 0.5) trace =
   List.iter
     (fun p ->
       if p.p_n > 1 lsl 20 then
         invalid_arg "Replay.run: pool larger than 2^20 sources")
     trace.tr_pools;
-  let sim = Sim.create ?obs () in
-  let rng = Rng.create ~seed:trace.tr_seed in
-  let topo = Chain.build sim spec in
-  let net = topo.Chain.net in
+  let w = World.create ?obs ~seed:trace.tr_seed () in
+  let topo = Chain.build w.World.sim spec in
   let pools = Array.of_list trace.tr_pools in
-  let attacker_gws = Array.of_list topo.Chain.attacker_gws in
   let total_rate =
     Array.fold_left
       (fun acc p -> acc +. (p.p_rate *. float_of_int p.p_n))
       0. pools
   in
-  let pool_bw = Float.max spec.Chain.core_bw (2. *. total_rate) in
   let nodes =
-    Array.mapi
-      (fun j p ->
-        let nd =
-          Network.add_node net
-            ~name:(Printf.sprintf "replay-%s" p.p_id)
-            ~addr:(Addr.of_octets 31 0 0 (j + 1))
-            ~as_id:(5000 + j) Node.Host
-        in
-        nd.Node.advertised <-
-          [
-            (Addr.host_prefix nd.Node.addr, Node.Global);
-            (cover p, Node.Global);
-          ];
-        ignore
-          (Network.connect net
-             attacker_gws.(j mod Array.length attacker_gws)
-             nd ~bandwidth:pool_bw ~delay:spec.Chain.access_delay
-             ~queue_capacity:spec.Chain.queue_capacity);
-        nd)
-      pools
+    World.add_pools topo spec
+      ~bw:(Float.max spec.Chain.core_bw (2. *. total_rate))
+      (* Each pool node advertises the smallest prefix covering its
+         sources, so reverse control traffic routes back to it. *)
+      (List.map
+         (fun p -> ("replay-" ^ p.p_id, Addr.cover p.p_base ~n:p.p_n))
+         trace.tr_pools)
   in
-  Network.compute_routes net;
-  let config =
-    {
-      config with
-      Config.engine =
-        (match engine with `Packet -> Config.Packet | `Hybrid -> Config.Hybrid);
-    }
+  let deployed = Chain.deploy ~victim_td:td ~config ~rng:w.World.rng topo in
+  let all_gws =
+    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
   in
-  let deployed = Chain.deploy ~victim_td:td ~config ~rng topo in
-  let victim_addr = topo.Chain.victim.Node.addr in
   let absorbed = Array.map Fluid_bridge.absorb_pool_requests nodes in
   let states =
     Array.map (fun p -> { sending = false; active = p.p_n; live = 0 }) pools
   in
-  (* Engine-specific data plane; [apply j] re-syncs pool j's wire state
-     after a membership event. *)
-  let fluid_ctx, apply =
-    match engine with
-    | `Hybrid ->
-      let eng = Fluid.create ~epoch:config.Config.hybrid_epoch net in
-      List.iter
-        (fun gw ->
-          Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw))
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways);
-      let frng = Rng.split rng in
-      let probe_rate =
-        let r = config.Config.hybrid_probe_rate in
-        if r > 0. then Some r else None
-      in
-      let aggs =
-        Array.mapi
-          (fun j p ->
-            let agg =
-              Fluid.add_aggregate eng ~flow_id:(1000 + j) ~origin:nodes.(j)
-                ~src_base:p.p_base ~n:p.p_n
-                ~rate:(p.p_rate *. float_of_int p.p_n)
-                ~dst:victim_addr ~attack:p.p_attack ~start:0.
-            in
-            (* Everyone starts off the wire; events open the gates. *)
-            for i = 0 to p.p_n - 1 do
-              Fluid.set_block eng agg ~idx:i ~stage:0 true
-            done;
-            if p.p_attack then
-              ignore
-                (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng agg);
-            agg)
-          pools
-      in
-      let apply j =
+  let plane = World.plane w config topo.Chain.net all_gws in
+  (* Fluid plane: stage-0 gates of sources [lo, hi) closed or opened. *)
+  let gates agg lo hi closed =
+    Option.iter
+      (fun eng ->
+        for i = lo to hi - 1 do
+          Fluid.set_block eng agg ~idx:i ~stage:0 closed
+        done)
+      (World.engine plane)
+  in
+  let counters = Array.make (Array.length pools) 0 in
+  let aggs =
+    Array.mapi
+      (fun j p ->
         let st = states.(j) in
-        let e = Int.min pools.(j).p_n (effective st) in
-        if e > st.live then
-          for i = st.live to e - 1 do
-            Fluid.set_block eng aggs.(j) ~idx:i ~stage:0 false
-          done
-        else if e < st.live then
-          for i = e to st.live - 1 do
-            Fluid.set_block eng aggs.(j) ~idx:i ~stage:0 true
-          done;
-        st.live <- e
-      in
-      (Some eng, apply)
-    | `Packet ->
-      let counters = Array.make (Array.length pools) 0 in
-      Array.iteri
-        (fun j p ->
-          let st = states.(j) in
-          let spoof () =
-            let i = counters.(j) mod p.p_n in
-            counters.(j) <- counters.(j) + 1;
-            Some (Addr.add p.p_base i)
-          in
-          (* The spoofed header index decides membership: round-robin
-             spoofing makes the admitted rate exactly proportional to the
-             live count over every n-packet cycle. *)
-          let gate pkt =
-            st.live > 0
-            && Int32.to_int (Int32.sub pkt.Packet.src p.p_base) < st.live
-          in
-          ignore
-            (Traffic.cbr ~gate ~spoof ~start:0. ~attack:p.p_attack
-               ~flow_id:(1000 + j)
-               ~rate:(p.p_rate *. float_of_int p.p_n)
-               ~dst:victim_addr net nodes.(j)))
-        pools;
-      let apply j =
-        let st = states.(j) in
-        st.live <- Int.min pools.(j).p_n (effective st)
-      in
-      (None, apply)
+        (* Packet plane: the spoofed header index decides membership —
+           round-robin spoofing makes the admitted rate exactly
+           proportional to the live count over every n-packet cycle. *)
+        let spoof () =
+          let i = counters.(j) mod p.p_n in
+          counters.(j) <- counters.(j) + 1;
+          Some (Addr.add p.p_base i)
+        in
+        let gate pkt =
+          st.live > 0
+          && Int32.to_int (Int32.sub pkt.Packet.src p.p_base) < st.live
+        in
+        let agg =
+          World.source ~gate ~spoof ~src_base:p.p_base ~n:p.p_n ~probe:false
+            plane ~flow_id:(1000 + j)
+            ~rate:(p.p_rate *. float_of_int p.p_n)
+            ~dst:topo.Chain.victim.Node.addr ~attack:p.p_attack ~start:0.
+            nodes.(j)
+        in
+        (* Fluid plane: everyone starts off the wire; events open the
+           gates. *)
+        Option.iter
+          (fun agg ->
+            gates agg 0 p.p_n true;
+            if p.p_attack then World.probe plane agg)
+          agg;
+        agg)
+      pools
+  in
+  (* [apply j] re-syncs pool j's wire state after a membership event. *)
+  let apply j =
+    let st = states.(j) in
+    let e = Int.min pools.(j).p_n (effective st) in
+    Option.iter
+      (fun agg ->
+        if e > st.live then gates agg st.live e false
+        else gates agg e st.live true)
+      aggs.(j);
+    st.live <- e
   in
   let index_of id =
     let found = ref (-1) in
@@ -514,7 +454,7 @@ let run ?obs ?(spec = Chain.default_spec) ?(config = Config.default)
       if e.ev_time < trace.tr_duration then
         let j = index_of e.ev_pool in
         ignore
-          (Sim.at sim e.ev_time (fun () ->
+          (Sim.at w.World.sim e.ev_time (fun () ->
                let st = states.(j) in
                (match e.ev_action with
                | On -> st.sending <- true
@@ -523,46 +463,22 @@ let run ?obs ?(spec = Chain.default_spec) ?(config = Config.default)
                | Leave k -> st.active <- Int.max 0 (st.active - k));
                apply j)))
     trace.tr_events;
-  let rr_victim_rate = Series.create ~name:"victim-attack-rate" () in
-  let meter = Host_agent.Victim.attack_meter deployed.Chain.victim_agent in
-  let vmeter = Option.map Fluid_bridge.victim_meter fluid_ctx in
-  let rec sample t =
-    if t <= trace.tr_duration then
-      ignore
-        (Sim.at sim t (fun () ->
-             let v =
-               match vmeter with
-               | Some m -> Fluid_bridge.victim_attack_rate m ~now:t
-               | None -> 8. *. Rate_meter.rate meter ~now:t
-             in
-             Series.add rr_victim_rate ~time:t v;
-             sample (t +. sample_period)))
+  let victim = deployed.Chain.victim_agent in
+  let rr_victim_rate =
+    World.sample_victim_rate w plane
+      ~meter:(Host_agent.Victim.attack_meter victim)
+      ~period:sample_period ~until:trace.tr_duration
   in
-  sample sample_period;
-  Sim.run ~until:trace.tr_duration sim;
-  let all_gws =
-    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
-  in
-  let received ~attack =
-    match fluid_ctx with
-    | Some eng -> Fluid.delivered_bits eng ~attack /. 8.
-    | None ->
-      if attack then Host_agent.Victim.attack_bytes deployed.Chain.victim_agent
-      else Host_agent.Victim.good_bytes deployed.Chain.victim_agent
-  in
+  World.run w ~until:trace.tr_duration;
   {
     rr_trace = trace;
-    rr_engine = engine;
     rr_attack_offered_bytes = offered_bytes trace ~attack:true;
-    rr_attack_received_bytes = received ~attack:true;
+    rr_attack_received_bytes = World.received ~victim plane ~attack:true;
     rr_good_offered_bytes = offered_bytes trace ~attack:false;
-    rr_good_received_bytes = received ~attack:false;
-    rr_requests_sent =
-      Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
-    rr_filters =
-      Scenarios.counter_total all_gws "filter-temp"
-      + Scenarios.counter_total all_gws "filter-long";
+    rr_good_received_bytes = World.received ~victim plane ~attack:false;
+    rr_requests_sent = Host_agent.Victim.requests_sent victim;
+    rr_filters = Scenarios.filter_installs all_gws;
     rr_absorbed = Array.fold_left (fun acc r -> acc + !r) 0 absorbed;
-    rr_events = Sim.events_processed sim;
+    rr_events = World.events w;
     rr_victim_rate;
   }

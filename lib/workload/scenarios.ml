@@ -1,11 +1,7 @@
-module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Sched = Aitf_parallel.Sched
 module Series = Aitf_stats.Series
-module Rate_meter = Aitf_stats.Rate_meter
 module Counter = Aitf_stats.Counter
 module Fluid = Aitf_flowsim.Fluid
-module Sampler = Aitf_flowsim.Sampler
 open Aitf_net
 open Aitf_core
 open Aitf_topo
@@ -82,22 +78,12 @@ let counter_total gws name =
   List.fold_left (fun acc gw -> acc + Counter.get (Gateway.counters gw) name) 0
     gws
 
-(* These fixed small topologies are never sharded: with [?sched] they run
-   entirely on the scheduler's global sim. The seam exists so tests can
-   check that a 1-shard [Sched] replays the sequential engine bit for
-   bit. *)
-let sim_of_sched ?obs = function
-  | Some s -> Sched.global s
-  | None -> Sim.create ?obs ()
+let filter_installs gws =
+  counter_total gws "filter-temp" + counter_total gws "filter-long"
 
-let run_sched ?sched ~until sim =
-  match sched with
-  | Some s -> Sched.run ~until s
-  | None -> Sim.run ~until sim
-
-let run_chain ?obs ?sched params =
-  let sim = sim_of_sched ?obs sched in
-  let rng = Rng.create ~seed:params.seed in
+let run_chain ?obs params =
+  let w = World.create ?obs ~seed:params.seed () in
+  let sim = w.World.sim and rng = w.World.rng in
   let topo = Chain.build sim params.spec in
   let config, path_source =
     match params.traceback with
@@ -197,139 +183,49 @@ let run_chain ?obs ?sched params =
         in_pool )
     end
   in
-  let attacker_agent = deployed.Chain.attacker_agent in
   let victim_addr = topo.Chain.victim.Node.addr in
+  let all_gateways =
+    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
+  in
   (* Engine selection. Under [Hybrid], the data plane is fluid: each source
      becomes a one-source aggregate, gateways' filter tables are mirrored
      into the rate domain, and a deterministic sampler materialises probe
      packets so the (unchanged, packet-level) control plane keeps seeing
      traffic. The RNG is only split in hybrid mode, so packet runs replay
      the exact pre-hybrid event sequence. *)
-  let fluid_ctx =
-    if params.config.Config.engine = Config.Hybrid then begin
-      let eng =
-        Fluid.create ~epoch:params.config.Config.hybrid_epoch topo.Chain.net
-      in
-      List.iter
-        (fun gw ->
-          Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw))
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways);
-      Some (eng, Rng.split rng)
-    end
-    else None
-  in
-  let probe_rate =
-    let r = params.config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
-  in
-  let fluid_agg ?flow_id eng node rate ~attack ~start =
-    Fluid.add_aggregate ?flow_id eng ~origin:node ~src_base:node.Node.addr
-      ~n:1 ~rate ~dst:victim_addr ~attack ~start
-  in
-  let (_in_pool_source : Traffic.t option) =
-    match fluid_ctx with
-    | None ->
-      Option.map
-        (fun node ->
-          Traffic.cbr ~start:0. ~flow_id:3 ~rate:params.in_pool_legit_rate
-            ~dst:victim_addr topo.Chain.net node)
-        in_pool_client
-    | Some (eng, _) ->
-      Option.iter
-        (fun node ->
-          ignore
-            (fluid_agg ~flow_id:3 eng node params.in_pool_legit_rate
-               ~attack:false ~start:0.))
-        in_pool_client;
-      None
-  in
-  let (_attack_source : Traffic.t option) =
-    match fluid_ctx with
-    | None ->
-      Some
-        (Traffic.cbr
-           ~gate:(Host_agent.Attacker.gate attacker_agent)
-           ~start:params.attack_start ~attack:true ~flow_id:1
-           ~rate:params.attack_rate ~dst:victim_addr topo.Chain.net
-           topo.Chain.attacker)
-    | Some (eng, frng) ->
-      let agg =
-        fluid_agg ~flow_id:1 eng topo.Chain.attacker params.attack_rate
-          ~attack:true ~start:params.attack_start
-      in
-      Fluid_bridge.attach_attacker_strategy eng agg attacker_agent;
-      ignore (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng agg);
-      None
-  in
-  let legit_on = params.legit_rate > 0. in
-  let (_legit_source : Traffic.t option) =
-    if not legit_on then None
-    else
-      match fluid_ctx with
-      | None ->
-        Some
-          (Traffic.cbr ~start:0. ~flow_id:2 ~rate:params.legit_rate
-             ~dst:victim_addr topo.Chain.net topo.Chain.bystander)
-      | Some (eng, _) ->
-        ignore
-          (fluid_agg ~flow_id:2 eng topo.Chain.bystander params.legit_rate
-             ~attack:false ~start:0.);
-        None
-  in
-  (* Sample the attack bandwidth the victim experiences. In hybrid runs the
-     fluid delivery is pushed through the same 1-second window as the packet
-     engine's victim meter, so [time_to_suppress] sees identical smoothing
-     lag under both engines. *)
-  let victim_rate = Series.create ~name:"victim-attack-rate" () in
-  let meter = Host_agent.Victim.attack_meter deployed.Chain.victim_agent in
-  let vmeter =
-    Option.map (fun (eng, _) -> Fluid_bridge.victim_meter eng) fluid_ctx
-  in
-  let rec sample t =
-    if t <= params.duration then
+  let plane = World.plane w params.config topo.Chain.net all_gateways in
+  Option.iter
+    (fun node ->
       ignore
-        (Sim.at sim t (fun () ->
-             let v =
-               match vmeter with
-               | Some m -> Fluid_bridge.victim_attack_rate m ~now:t
-               | None -> 8. *. Rate_meter.rate meter ~now:t
-             in
-             Series.add victim_rate ~time:t v;
-             sample (t +. params.sample_period)))
+        (World.source plane ~flow_id:3 ~rate:params.in_pool_legit_rate
+           ~dst:victim_addr ~attack:false ~start:0. node))
+    in_pool_client;
+  ignore
+    (World.source ~agent:deployed.Chain.attacker_agent plane ~flow_id:1
+       ~rate:params.attack_rate ~dst:victim_addr ~attack:true
+       ~start:params.attack_start topo.Chain.attacker);
+  if params.legit_rate > 0. then
+    ignore
+      (World.source plane ~flow_id:2 ~rate:params.legit_rate ~dst:victim_addr
+         ~attack:false ~start:0. topo.Chain.bystander);
+  let victim_rate =
+    World.sample_victim_rate w plane
+      ~meter:(Host_agent.Victim.attack_meter deployed.Chain.victim_agent)
+      ~period:params.sample_period ~until:params.duration
   in
-  sample params.sample_period;
-  (* When the world has a metrics registry, every component above has
-     already self-registered; the sampler adds the sim-level metrics and the
-     time-series half of the run report. *)
-  let sampler =
-    Option.map
-      (fun reg ->
-        Aitf_engine.Sampler.start ~interval:params.sample_period sim reg)
-      (Sim.obs sim).Aitf_obs.Obs.metrics
-  in
-  run_sched ?sched ~until:params.duration sim;
+  let sampler = World.start_metrics w ~interval:params.sample_period in
+  World.run w ~until:params.duration;
   let attack_offered_bytes =
     params.attack_rate *. (params.duration -. params.attack_start) /. 8.
   in
-  let attack_received_bytes =
-    match fluid_ctx with
-    | Some (eng, _) -> Fluid.delivered_bits eng ~attack:true /. 8.
-    | None -> Host_agent.Victim.attack_bytes deployed.Chain.victim_agent
-  in
-  let good_received_bytes =
-    match fluid_ctx with
-    | Some (eng, _) -> Fluid.delivered_bits eng ~attack:false /. 8.
-    | None -> Host_agent.Victim.good_bytes deployed.Chain.victim_agent
-  in
+  let victim = deployed.Chain.victim_agent in
+  let attack_received_bytes = World.received ~victim plane ~attack:true in
   let good_offered_bytes =
-    (if legit_on then params.legit_rate *. params.duration /. 8. else 0.)
+    (if params.legit_rate > 0. then params.legit_rate *. params.duration /. 8. else 0.)
     +.
     match in_pool_client with
     | Some _ -> params.in_pool_legit_rate *. params.duration /. 8.
     | None -> 0.
-  in
-  let all_gateways =
-    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
   in
   let overload_total f =
     List.fold_left
@@ -349,21 +245,13 @@ let run_chain ?obs ?sched params =
          attack_received_bytes /. attack_offered_bytes
        else 0.);
     good_offered_bytes;
-    good_received_bytes;
+    good_received_bytes = World.received ~victim plane ~attack:false;
     victim_rate;
     escalations = counter_total deployed.Chain.victim_gateways "escalated";
-    requests_sent =
-      Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
-    requests_retransmitted =
-      Host_agent.Victim.requests_retransmitted deployed.Chain.victim_agent;
-    ctrl_retransmits =
-      counter_total
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways)
-        "ctrl-retransmit";
-    ctrl_gave_up =
-      counter_total
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways)
-        "ctrl-gave-up";
+    requests_sent = Host_agent.Victim.requests_sent victim;
+    requests_retransmitted = Host_agent.Victim.requests_retransmitted victim;
+    ctrl_retransmits = counter_total all_gateways "ctrl-retransmit";
+    ctrl_gave_up = counter_total all_gateways "ctrl-gave-up";
     faults_injected =
       List.fold_left
         (fun acc i -> acc + Aitf_fault.Fault.drops_injected i)
@@ -374,8 +262,8 @@ let run_chain ?obs ?sched params =
     collateral_packets = overload_total Aitf_filter.Overload.collateral_packets;
     collateral_bytes = overload_total Aitf_filter.Overload.collateral_bytes;
     sampler;
-    fluid = Option.map fst fluid_ctx;
-    events_processed = Sim.events_processed sim;
+    fluid = World.engine plane;
+    events_processed = World.events w;
   }
 
 let time_to_suppress result ~threshold =
@@ -451,136 +339,92 @@ type flood_result = {
   flood_events : int;
 }
 
-let run_flood ?obs ?sched p =
-  let sim = sim_of_sched ?obs sched in
-  let rng = Rng.create ~seed:p.flood_seed in
-  let t = Hierarchy.build sim p.hierarchy in
+let run_flood ?obs p =
+  let w = World.create ?obs ~seed:p.flood_seed () in
+  let t = Hierarchy.build w.World.sim p.hierarchy in
   let config = p.flood_config in
   let deployed =
-    if p.with_aitf then Some (Hierarchy.deploy ~config ~rng t) else None
+    if p.with_aitf then Some (Hierarchy.deploy ~config ~rng:w.World.rng t)
+    else None
   in
   let victim_node = Hierarchy.host t ~isp:0 ~net:0 ~host:0 in
+  let dst = victim_node.Node.addr in
   let victim =
     Option.map
       (fun d -> Hierarchy.attach_victim ~td:0.1 d ~config ~isp:0 ~net:0 ~host:0)
       deployed
   in
-  (* Count at the node so the no-AITF baseline measures too; the victim
-     agent (when present) re-dispatches data it does not own to this
-     handler's predecessor, so install ours first... order matters: this
-     wrapper was installed before any agent, so the agent runs first and
-     swallows Data; count here only without AITF, through the agent
-     otherwise. *)
   (* Hybrid: the whole data plane is fluid; the control plane (when AITF is
      deployed) is driven by per-zombie probe samplers. *)
-  let fluid_ctx =
-    if config.Config.engine = Config.Hybrid then begin
-      let eng = Fluid.create ~epoch:config.Config.hybrid_epoch t.Hierarchy.net in
-      (match deployed with
-      | Some d ->
-        let attach gw =
-          Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw)
-        in
-        Array.iter (fun row -> Array.iter attach row) d.Hierarchy.net_gateways;
-        Array.iter attach d.Hierarchy.isp_gateways
-      | None -> ());
-      Some (eng, Rng.split rng)
-    end
-    else None
+  let gateways =
+    match deployed with
+    | Some d ->
+      List.concat_map Array.to_list
+        (Array.to_list d.Hierarchy.net_gateways @ [ d.Hierarchy.isp_gateways ])
+    | None -> []
   in
-  let probe_rate =
-    let r = config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
+  let plane = World.plane w config t.Hierarchy.net gateways in
+  (* Without AITF there is no victim agent to count deliveries, so count
+     at the node itself (packet engine only; the fluid engine counts its
+     own deliveries). *)
+  let at_node =
+    match (victim, plane) with
+    | None, World.Packet _ -> Some (Traffic.count_delivered victim_node)
+    | _ -> None
   in
-  let legit = ref 0. and attack = ref 0. in
-  (if (not p.with_aitf) && Option.is_none fluid_ctx then
-     let prev = victim_node.Node.local_deliver in
-     victim_node.Node.local_deliver <-
-       (fun node (pkt : Packet.t) ->
-         (match pkt.Packet.payload with
-         | Packet.Data { attack = true; _ } ->
-           attack := !attack +. float_of_int pkt.Packet.size
-         | Packet.Data _ -> legit := !legit +. float_of_int pkt.Packet.size
-         | _ -> ());
-         prev node pkt));
-  (* Legit clients inside the victim's ISP (excluding the victim's own
-     host slot). *)
-  let placed_clients = ref 0 in
-  (try
-     for net = 0 to p.hierarchy.Hierarchy.nets_per_isp - 1 do
-       for host = 0 to p.hierarchy.Hierarchy.hosts_per_net - 1 do
-         if
-           !placed_clients < p.legit_clients && not (net = 0 && host = 0)
-         then begin
-           incr placed_clients;
-           let src = Hierarchy.host t ~isp:0 ~net ~host in
-           match fluid_ctx with
-           | None ->
-             ignore
-               (Traffic.cbr ~start:0. ~flow_id:(2000 + !placed_clients)
-                  ~rate:p.legit_rate ~dst:victim_node.Node.addr t.Hierarchy.net
-                  src)
-           | Some (eng, _) ->
-             ignore
-               (Fluid.add_aggregate eng ~flow_id:(2000 + !placed_clients)
-                  ~origin:src ~src_base:src.Node.addr ~n:1 ~rate:p.legit_rate
-                  ~dst:victim_node.Node.addr ~attack:false ~start:0.)
-         end
-       done
-     done
-   with Invalid_argument _ -> ());
-  (* Zombies round-robin over the other ISPs. *)
-  let placed = ref 0 in
-  (try
-     for isp = 1 to p.hierarchy.Hierarchy.isps - 1 do
-       for net = 0 to p.hierarchy.Hierarchy.nets_per_isp - 1 do
-         for host = 0 to p.hierarchy.Hierarchy.hosts_per_net - 1 do
-           if !placed < p.zombies then begin
+  (* Place [f] on the first [k] host slots; a placement that raises
+     [Invalid_argument] ends the run of slots. *)
+  let h = p.hierarchy in
+  let slots isps =
+    List.concat_map
+      (fun isp ->
+        List.concat_map
+          (fun net ->
+            List.init h.Hierarchy.hosts_per_net (fun host -> (isp, net, host)))
+          (List.init h.Hierarchy.nets_per_isp Fun.id))
+      isps
+  in
+  let place k slots f =
+    let placed = ref 0 in
+    (try
+       List.iter
+         (fun (isp, net, host) ->
+           if !placed < k then begin
              incr placed;
-             let agent =
-               Option.map
-                 (fun d ->
-                   Hierarchy.attach_attacker ~strategy:p.zombie_strategy d
-                     ~config ~isp ~net ~host)
-                 deployed
-             in
-             let src = Hierarchy.host t ~isp ~net ~host in
-             match fluid_ctx with
-             | None ->
-               let gate =
-                 match agent with
-                 | Some a -> Host_agent.Attacker.gate a
-                 | None -> fun _ -> true
-               in
-               ignore
-                 (Traffic.cbr ~gate ~start:p.attack_start ~attack:true
-                    ~flow_id:(1000 + !placed) ~rate:p.zombie_rate
-                    ~dst:victim_node.Node.addr t.Hierarchy.net src)
-             | Some (eng, frng) ->
-               let agg =
-                 Fluid.add_aggregate eng ~flow_id:(1000 + !placed)
-                   ~origin:src ~src_base:src.Node.addr ~n:1
-                   ~rate:p.zombie_rate ~dst:victim_node.Node.addr
-                   ~attack:true ~start:p.attack_start
-               in
-               Option.iter
-                 (fun a -> Fluid_bridge.attach_attacker_strategy eng agg a)
-                 agent;
-               ignore
-                 (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng
-                    agg)
-           end
-         done
-       done
-     done
-   with Invalid_argument _ -> ());
-  let flood_sampler =
-    Option.map
-      (fun reg ->
-        Aitf_engine.Sampler.start ~interval:p.flood_sample_period sim reg)
-      (Sim.obs sim).Aitf_obs.Obs.metrics
+             f !placed ~isp ~net ~host
+           end)
+         slots
+     with Invalid_argument _ -> ());
+    !placed
   in
-  run_sched ?sched ~until:p.flood_duration sim;
+  (* Legit clients inside the victim's ISP (excluding the victim's own
+     host slot), zombies round-robin over the other ISPs. *)
+  let placed_clients =
+    place p.legit_clients
+      (List.filter (( <> ) (0, 0, 0)) (slots [ 0 ]))
+      (fun i ~isp ~net ~host ->
+        ignore
+          (World.source plane ~flow_id:(2000 + i) ~rate:p.legit_rate ~dst
+             ~attack:false ~start:0. (Hierarchy.host t ~isp ~net ~host)))
+  in
+  let placed =
+    place p.zombies
+      (slots (List.init (h.Hierarchy.isps - 1) succ))
+      (fun i ~isp ~net ~host ->
+        let agent =
+          Option.map
+            (fun d ->
+              Hierarchy.attach_attacker ~strategy:p.zombie_strategy d ~config
+                ~isp ~net ~host)
+            deployed
+        in
+        ignore
+          (World.source ?agent plane ~flow_id:(1000 + i) ~rate:p.zombie_rate
+             ~dst ~attack:true ~start:p.attack_start
+             (Hierarchy.host t ~isp ~net ~host)))
+  in
+  let flood_sampler = World.start_metrics w ~interval:p.flood_sample_period in
+  World.run w ~until:p.flood_duration;
   let filters_at gws =
     Array.fold_left
       (fun acc gw -> acc + Counter.get (Gateway.counters gw) "filter-long")
@@ -595,31 +439,25 @@ let run_flood ?obs ?sched p =
           0 d.Hierarchy.net_gateways,
         filters_at d.Hierarchy.isp_gateways )
   in
-  let legit_received, attack_received =
-    match fluid_ctx with
-    | Some (eng, _) ->
-      ( Fluid.delivered_bits eng ~attack:false /. 8.,
-        Fluid.delivered_bits eng ~attack:true /. 8. )
-    | None -> (
-      match victim with
-      | Some v ->
-        (Host_agent.Victim.good_bytes v, Host_agent.Victim.attack_bytes v)
-      | None -> (!legit, !attack))
+  let received ~attack =
+    match at_node with
+    | Some count -> count ~attack
+    | None -> World.received ?victim plane ~attack
   in
   {
     flood_params = p;
     hierarchy_deployed = deployed;
     victim;
-    zombies_placed = !placed;
-    legit_received_bytes = legit_received;
+    zombies_placed = placed;
+    legit_received_bytes = received ~attack:false;
     legit_offered_bytes =
-      float_of_int !placed_clients *. p.legit_rate *. p.flood_duration /. 8.;
-    flood_attack_received_bytes = attack_received;
+      float_of_int placed_clients *. p.legit_rate *. p.flood_duration /. 8.;
+    flood_attack_received_bytes = received ~attack:true;
     leaf_filters;
     isp_filters;
     flood_sampler;
-    flood_fluid = Option.map fst fluid_ctx;
-    flood_events = Sim.events_processed sim;
+    flood_fluid = World.engine plane;
+    flood_events = World.events w;
   }
 
 (* --- Massive-swarm scenario (hybrid engine only) ------------------------ *)
@@ -671,101 +509,58 @@ type swarm_result = {
 (* Each pool advertises a /12 (room for 2^20 sources) from 32.0.0.0 up, so
    pool j's aggregate can spread its sources over a contiguous range that
    routes back to the pool node for the reverse control path. *)
-let pool_prefix j = Addr.prefix (Addr.of_octets 32 (16 * j) 0 0) 12
+let pool_base j = Addr.of_octets 32 (16 * j) 0 0
 
-let run_swarm ?obs ?sched p =
+let run_swarm ?obs p =
   if p.swarm_pools < 1 || p.swarm_pools > 16 then
     invalid_arg "run_swarm: swarm_pools must be in 1..16";
   if p.swarm_sources < p.swarm_pools then
     invalid_arg "run_swarm: need at least one source per pool";
   if (p.swarm_sources / p.swarm_pools) + 1 > 1 lsl 20 then
     invalid_arg "run_swarm: more than 2^20 sources per pool";
-  let sim = sim_of_sched ?obs sched in
-  let rng = Rng.create ~seed:p.swarm_seed in
-  let topo = Chain.build sim p.swarm_spec in
-  let net = topo.Chain.net in
-  let spec = p.swarm_spec in
-  (* Pool nodes: one origin host per aggregate, hanging off the attacker-side
-     gateways round-robin. The pool uplinks are provisioned well above the
-     offered load so the victim's tail circuit stays the only bottleneck. *)
-  let attacker_gws = Array.of_list topo.Chain.attacker_gws in
-  let pool_bw = Float.max spec.Chain.core_bw (2. *. p.swarm_attack_rate) in
+  let w = World.create ?obs ~seed:p.swarm_seed () in
+  let topo = Chain.build w.World.sim p.swarm_spec in
   let pools =
-    Array.init p.swarm_pools (fun j ->
-        let n =
-          Network.add_node net
-            ~name:(Printf.sprintf "pool%d" j)
-            ~addr:(Addr.of_octets 31 0 0 (j + 1))
-            ~as_id:(5000 + j) Node.Host
-        in
-        n.Node.advertised <-
-          [ (Addr.host_prefix n.Node.addr, Node.Global);
-            (pool_prefix j, Node.Global);
-          ];
-        ignore
-          (Network.connect net
-             attacker_gws.(j mod Array.length attacker_gws)
-             n ~bandwidth:pool_bw ~delay:spec.Chain.access_delay
-             ~queue_capacity:spec.Chain.queue_capacity);
-        n)
+    World.add_pools topo p.swarm_spec
+      ~bw:(Float.max p.swarm_spec.Chain.core_bw (2. *. p.swarm_attack_rate))
+      (List.init p.swarm_pools (fun j ->
+           (Printf.sprintf "pool%d" j, Addr.prefix (pool_base j) 12)))
   in
-  Network.compute_routes net;
   let config = p.swarm_config in
-  let deployed = Chain.deploy ~victim_td:p.swarm_td ~config ~rng topo in
-  let eng = Fluid.create ~epoch:config.Config.hybrid_epoch net in
-  List.iter
-    (fun gw ->
-      Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw))
-    (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways);
-  let frng = Rng.split rng in
-  let probe_rate =
-    let r = config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
-  in
-  let victim_addr = topo.Chain.victim.Node.addr in
-  let base = p.swarm_sources / p.swarm_pools in
-  let rem = p.swarm_sources mod p.swarm_pools in
-  let absorbed = ref [] in
-  Array.iteri
-    (fun j pool ->
-      let n = base + if j < rem then 1 else 0 in
-      let rate =
-        p.swarm_attack_rate *. float_of_int n /. float_of_int p.swarm_sources
-      in
-      let agg =
-        Fluid.add_aggregate eng ~flow_id:(1000 + j) ~origin:pool
-          ~src_base:(Addr.of_octets 32 (16 * j) 0 0)
-          ~n ~rate ~dst:victim_addr ~attack:true ~start:p.swarm_attack_start
-      in
-      absorbed := Fluid_bridge.absorb_pool_requests pool :: !absorbed;
-      ignore (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng agg))
-    pools;
-  if p.swarm_legit_rate > 0. then
-    ignore
-      (Fluid.add_aggregate eng ~flow_id:2 ~origin:topo.Chain.bystander
-         ~src_base:topo.Chain.bystander.Node.addr ~n:1 ~rate:p.swarm_legit_rate
-         ~dst:victim_addr ~attack:false ~start:0.);
-  let swarm_victim_rate = Series.create ~name:"victim-attack-rate" () in
-  let vmeter = Fluid_bridge.victim_meter eng in
-  let rec sample t =
-    if t <= p.swarm_duration then
-      ignore
-        (Sim.at sim t (fun () ->
-             Series.add swarm_victim_rate ~time:t
-               (Fluid_bridge.victim_attack_rate vmeter ~now:t);
-             sample (t +. p.swarm_sample_period)))
-  in
-  sample p.swarm_sample_period;
-  let swarm_sampler =
-    Option.map
-      (fun reg ->
-        Aitf_engine.Sampler.start ~interval:p.swarm_sample_period sim reg)
-      (Sim.obs sim).Aitf_obs.Obs.metrics
-  in
-  Sim.run ~until:p.swarm_duration sim;
+  let deployed = Chain.deploy ~victim_td:p.swarm_td ~config ~rng:w.World.rng topo in
   let all_gws =
     deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
   in
+  let plane =
+    World.plane w { config with Config.engine = Config.Hybrid } topo.Chain.net
+      all_gws
+  in
+  let dst = topo.Chain.victim.Node.addr in
+  let absorbed =
+    Array.mapi
+      (fun j pool ->
+        let n, rate =
+          World.share ~sources:p.swarm_sources ~rate:p.swarm_attack_rate
+            ~pools:p.swarm_pools j
+        in
+        ignore
+          (World.source ~src_base:(pool_base j) ~n plane ~flow_id:(1000 + j)
+             ~rate ~dst ~attack:true ~start:p.swarm_attack_start pool);
+        Fluid_bridge.absorb_pool_requests pool)
+      pools
+  in
+  if p.swarm_legit_rate > 0. then
+    ignore
+      (World.source plane ~flow_id:2 ~rate:p.swarm_legit_rate ~dst
+         ~attack:false ~start:0. topo.Chain.bystander);
+  let swarm_victim_rate =
+    World.sample_victim_rate w plane
+      ~meter:(Host_agent.Victim.attack_meter deployed.Chain.victim_agent)
+      ~period:p.swarm_sample_period ~until:p.swarm_duration
+  in
+  let swarm_sampler = World.start_metrics w ~interval:p.swarm_sample_period in
+  World.run w ~until:p.swarm_duration;
+  let eng = Option.get (World.engine plane) in
   {
     swarm_params = p;
     swarm_deployed = deployed;
@@ -774,14 +569,13 @@ let run_swarm ?obs ?sched p =
       (if p.swarm_legit_rate > 0. then
          p.swarm_legit_rate *. p.swarm_duration /. 8.
        else 0.);
-    swarm_good_received_bytes = Fluid.delivered_bits eng ~attack:false /. 8.;
-    swarm_attack_received_bytes = Fluid.delivered_bits eng ~attack:true /. 8.;
+    swarm_good_received_bytes = World.received plane ~attack:false;
+    swarm_attack_received_bytes = World.received plane ~attack:true;
     swarm_victim_rate;
     swarm_requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
-    swarm_filters =
-      counter_total all_gws "filter-temp" + counter_total all_gws "filter-long";
-    swarm_absorbed = List.fold_left (fun acc r -> acc + !r) 0 !absorbed;
-    swarm_events = Sim.events_processed sim;
+    swarm_filters = filter_installs all_gws;
+    swarm_absorbed = Array.fold_left (fun acc r -> acc + !r) 0 absorbed;
+    swarm_events = World.events w;
     swarm_sampler;
   }

@@ -93,16 +93,9 @@ type chain_result = {
       (** discrete events executed — the engine-comparison cost metric *)
 }
 
-val run_chain :
-  ?obs:Aitf_obs.Obs.t ->
-  ?sched:Aitf_parallel.Sched.t ->
-  chain_params ->
-  chain_result
-(** [?obs] observes the scenario's world (default: nothing observed).
-    [?sched] runs the scenario on that scheduler's global sim instead,
-    observed by the context the scheduler was created with (the fixed
-    chain topology is never sharded); a 1-shard scheduler replays the
-    default sequential engine bit for bit. *)
+val run_chain : ?obs:Aitf_obs.Obs.t -> chain_params -> chain_result
+(** [?obs] observes the scenario's world (default: nothing observed). The
+    fixed chain topology runs on a one-shard {!World}. *)
 
 val time_to_suppress : chain_result -> threshold:float -> float option
 (** First time after the attack started at which the victim-observed attack
@@ -111,6 +104,9 @@ val time_to_suppress : chain_result -> threshold:float -> float option
 
 val counter_total : Gateway.t list -> string -> int
 (** Sum one counter over several gateways. *)
+
+val filter_installs : Gateway.t list -> int
+(** Temporary plus long filter installs over several gateways. *)
 
 (** {1 Distributed flood on the provider hierarchy}
 
@@ -158,12 +154,8 @@ type flood_result = {
   flood_events : int;
 }
 
-val run_flood :
-  ?obs:Aitf_obs.Obs.t ->
-  ?sched:Aitf_parallel.Sched.t ->
-  flood_params ->
-  flood_result
-(** [?obs] and [?sched] as for {!run_chain}. *)
+val run_flood : ?obs:Aitf_obs.Obs.t -> flood_params -> flood_result
+(** [?obs] as for {!run_chain}. *)
 
 (** {1 Massive swarm (hybrid engine only)}
 
@@ -212,11 +204,7 @@ type swarm_result = {
   swarm_sampler : Aitf_engine.Sampler.t option;
 }
 
-val run_swarm :
-  ?obs:Aitf_obs.Obs.t ->
-  ?sched:Aitf_parallel.Sched.t ->
-  swarm_params ->
-  swarm_result
-(** [?obs] and [?sched] as for {!run_chain}.
+val run_swarm : ?obs:Aitf_obs.Obs.t -> swarm_params -> swarm_result
+(** [?obs] as for {!run_chain}.
     @raise Invalid_argument when the pool/source counts are out of range
     (pools in 1..16, at most 2^20 sources per pool). *)

@@ -113,4 +113,17 @@ let sent_packets t = t.sent_packets
 let sent_bytes t = t.sent_bytes
 let gated_packets t = t.gated
 
+let count_delivered (node : Node.t) =
+  let legit = ref 0. and attack = ref 0. in
+  let prev = node.Node.local_deliver in
+  node.Node.local_deliver <-
+    (fun node (pkt : Packet.t) ->
+      (match pkt.Packet.payload with
+      | Packet.Data { attack = a; _ } ->
+        let r = if a then attack else legit in
+        r := !r +. float_of_int pkt.Packet.size
+      | _ -> ());
+      prev node pkt);
+  fun ~attack:a -> if a then !attack else !legit
+
 let label t ~src = Flow_label.host_pair src t.dst

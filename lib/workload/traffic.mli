@@ -58,6 +58,13 @@ val sent_bytes : t -> int
 val gated_packets : t -> int
 (** Packets the gate suppressed. *)
 
+val count_delivered : Node.t -> attack:bool -> float
+(** [count_delivered node] starts counting the data bytes delivered to
+    [node], by wrapping its current local delivery; the returned reader
+    gives the attack or the legitimate total so far. An agent installed on
+    the node later wraps this in turn and may swallow data before it is
+    counted. *)
+
 val label : t -> src:Addr.t -> Flow_label.t
 (** The flow label this source's packets carry, given the header source it
     uses ([src] is the node address unless spoofing). *)

@@ -15,52 +15,189 @@ module Config = Aitf_core.Config
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* --- 1-shard bit-identity on the classic scenarios -------------------------- *)
+(* --- 1-shard bit-identity against the plain engine ------------------------ *)
 
-(* A 1-shard scheduler must replay the plain-Sim run exactly: same event
-   count, same byte counters, same victim-rate series point for point. *)
+(* A 1-shard scheduler must replay a plain [Sim.t] exactly. Each case
+   builds one scenario family's world twice, on a fresh [Sim.t] run by
+   [Sim.run] and on [Sched.global] of a 1-shard scheduler run by
+   [Sched.run], and compares byte counters, control-plane counters, the
+   event count and (where the family samples it) the victim-rate series,
+   point for point. Every scenario family runs on a 1-shard scheduler by
+   default, so this is the equivalence they all rest on. *)
 
-let chain_fingerprint (r : Scenarios.chain_result) =
-  ( r.Scenarios.attack_received_bytes,
-    r.Scenarios.good_received_bytes,
-    r.Scenarios.escalations,
-    r.Scenarios.requests_sent,
-    r.Scenarios.events_processed,
-    Series.points r.Scenarios.victim_rate )
+module Chain = Aitf_topo.Chain
+module Hierarchy = Aitf_topo.Hierarchy
+module Host_agent = Aitf_core.Host_agent
+module Traffic = Aitf_workload.Traffic
+module Fluid = Aitf_flowsim.Fluid
+module Rng = Aitf_engine.Rng
+
+(* [build sim] sets a world up on [sim] and returns its fingerprint
+   reader; the pair is (plain-Sim run, 1-shard-Sched run). *)
+let replay_on_both ~until build =
+  let sim = Sim.create () in
+  let read = build sim in
+  Sim.run ~until sim;
+  let plain = (read (), Sim.events_processed sim) in
+  let sched = Sched.create ~shards:1 () in
+  let read = build (Sched.global sched) in
+  Sched.run ~until sched;
+  let sharded = (read (), Sched.events_processed sched) in
+  (plain, sharded)
+
+(* Every 0.1 s up to 5 s, on [sim], push [read t] onto the series. *)
+let sample_every sim read =
+  let points = ref [] in
+  let rec sample t =
+    if t <= 5. then
+      ignore
+        (Sim.at sim t (fun () ->
+             points := (t, read t) :: !points;
+             sample (t +. 0.1)))
+  in
+  sample 0.1;
+  fun () -> List.rev !points
+
+(* The Figure-1 chain: one attacker, a bystander, packet plane. *)
+let chain_world sim =
+  let rng = Rng.create ~seed:42 in
+  let topo = Chain.build sim Chain.default_spec in
+  let d = Chain.deploy ~victim_td:0.1 ~config:Config.default ~rng topo in
+  let net = topo.Chain.net and dst = topo.Chain.victim.Aitf_net.Node.addr in
+  ignore
+    (Traffic.cbr
+       ~gate:(Host_agent.Attacker.gate d.Chain.attacker_agent)
+       ~start:1. ~attack:true ~flow_id:1 ~rate:1e6 ~dst net
+       topo.Chain.attacker);
+  ignore (Traffic.cbr ~flow_id:2 ~rate:2e5 ~dst net topo.Chain.bystander);
+  let victim = d.Chain.victim_agent in
+  let meter = Host_agent.Victim.attack_meter victim in
+  let points =
+    sample_every sim (fun t -> Aitf_stats.Rate_meter.rate meter ~now:t)
+  in
+  fun () ->
+    ( Host_agent.Victim.attack_bytes victim,
+      Host_agent.Victim.good_bytes victim,
+      Scenarios.counter_total d.Chain.victim_gateways "escalated",
+      Host_agent.Victim.requests_sent victim,
+      points () )
+
+(* A zombie flood on the provider hierarchy: six non-complying zombies in
+   the two remote ISPs, one legitimate client next to the victim. *)
+let flood_world sim =
+  let config = Config.with_timescale Config.default 0.1 in
+  let t =
+    Hierarchy.build sim
+      {
+        Hierarchy.default_spec with
+        Hierarchy.isps = 3;
+        nets_per_isp = 3;
+        hosts_per_net = 3;
+      }
+  in
+  let d = Hierarchy.deploy ~config ~rng:(Rng.create ~seed:42) t in
+  let victim =
+    Hierarchy.attach_victim ~td:0.1 d ~config ~isp:0 ~net:0 ~host:0
+  in
+  let dst = (Hierarchy.host t ~isp:0 ~net:0 ~host:0).Aitf_net.Node.addr in
+  let net = t.Hierarchy.net in
+  ignore
+    (Traffic.cbr ~flow_id:2001 ~rate:2e5 ~dst net
+       (Hierarchy.host t ~isp:0 ~net:0 ~host:1));
+  for i = 0 to 5 do
+    let isp = 1 + (i mod 2) and n = i / 2 in
+    let a =
+      Hierarchy.attach_attacker ~strategy:Aitf_core.Policy.Ignores d ~config
+        ~isp ~net:n ~host:0
+    in
+    ignore
+      (Traffic.cbr ~gate:(Host_agent.Attacker.gate a) ~start:1. ~attack:true
+         ~flow_id:(1000 + i) ~rate:1e6 ~dst net
+         (Hierarchy.host t ~isp ~net:n ~host:0))
+  done;
+  let leaves =
+    List.concat_map Array.to_list (Array.to_list d.Hierarchy.net_gateways)
+  in
+  let isps = Array.to_list d.Hierarchy.isp_gateways in
+  fun () ->
+    ( Host_agent.Victim.attack_bytes victim,
+      Host_agent.Victim.good_bytes victim,
+      Scenarios.counter_total leaves "filter-long",
+      Scenarios.counter_total isps "filter-long",
+      Host_agent.Victim.requests_sent victim )
+
+(* A spoofed-source swarm on the chain: two fluid pools of 100 sources
+   each with probe samplers, a fluid bystander, fluid victim-rate series. *)
+let swarm_world sim =
+  let module World = Aitf_workload.World in
+  let module Bridge = Aitf_workload.Fluid_bridge in
+  let spec = Chain.default_spec in
+  let topo = Chain.build sim spec in
+  let base j = Aitf_net.Addr.of_octets 32 (16 * j) 0 0 in
+  let pools =
+    World.add_pools topo spec ~bw:40e6
+      (List.init 2 (fun j ->
+           (Printf.sprintf "pool%d" j, Aitf_net.Addr.prefix (base j) 12)))
+  in
+  let rng = Rng.create ~seed:42 in
+  let d = Chain.deploy ~victim_td:0.1 ~config:Config.default ~rng topo in
+  let gws = d.Chain.victim_gateways @ d.Chain.attacker_gateways in
+  let eng =
+    Fluid.create ~epoch:Config.default.Config.hybrid_epoch topo.Chain.net
+  in
+  World.attach_tables eng gws;
+  let probe_rng = Rng.split rng in
+  let dst = topo.Chain.victim.Aitf_net.Node.addr in
+  let absorbed =
+    Array.mapi
+      (fun j pool ->
+        let agg =
+          Fluid.add_aggregate eng ~flow_id:(1000 + j) ~origin:pool
+            ~src_base:(base j) ~n:100 ~rate:10e6 ~dst ~attack:true ~start:1.
+        in
+        ignore (Aitf_flowsim.Sampler.attach ~rng:(Rng.split probe_rng) eng agg);
+        Bridge.absorb_pool_requests pool)
+      pools
+  in
+  ignore
+    (Fluid.add_aggregate eng ~flow_id:2 ~origin:topo.Chain.bystander
+       ~src_base:topo.Chain.bystander.Aitf_net.Node.addr ~n:1 ~rate:1e6 ~dst
+       ~attack:false ~start:0.);
+  let vm = Bridge.victim_meter eng in
+  let points =
+    sample_every sim (fun t -> Bridge.victim_attack_rate vm ~now:t)
+  in
+  fun () ->
+    ( Fluid.delivered_bits eng ~attack:true,
+      Fluid.delivered_bits eng ~attack:false,
+      Host_agent.Victim.requests_sent d.Chain.victim_agent,
+      Scenarios.filter_installs gws,
+      Array.fold_left (fun acc r -> acc + !r) 0 absorbed,
+      points () )
 
 let test_chain_one_shard_identity () =
-  let p = { Scenarios.default_chain with Scenarios.duration = 5. } in
-  let seq = Scenarios.run_chain p in
-  let par = Scenarios.run_chain ~sched:(Sched.create ~shards:1 ()) p in
-  checkb "chain: 1-shard sched is bit-identical" true
-    (chain_fingerprint seq = chain_fingerprint par)
+  let plain, sharded = replay_on_both ~until:5. chain_world in
+  let (_, _, _, requests, points), events = plain in
+  checkb "the chain world did something" true
+    (requests > 0 && events > 0 && points <> []);
+  checkb "chain: 1-shard sched is bit-identical to a plain sim" true
+    (plain = sharded)
 
 let test_flood_one_shard_identity () =
-  let p = { Scenarios.default_flood with Scenarios.flood_duration = 10. } in
-  let seq = Scenarios.run_flood p in
-  let par = Scenarios.run_flood ~sched:(Sched.create ~shards:1 ()) p in
-  let fp (r : Scenarios.flood_result) =
-    ( r.Scenarios.legit_received_bytes,
-      r.Scenarios.flood_attack_received_bytes,
-      r.Scenarios.leaf_filters,
-      r.Scenarios.isp_filters,
-      r.Scenarios.flood_events )
-  in
-  checkb "flood: 1-shard sched is bit-identical" true (fp seq = fp par)
+  let plain, sharded = replay_on_both ~until:5. flood_world in
+  let (attack, _, leaf, _, requests), events = plain in
+  checkb "the flood world did something" true
+    (attack > 0. && requests > 0 && leaf > 0 && events > 0);
+  checkb "flood: 1-shard sched is bit-identical to a plain sim" true
+    (plain = sharded)
 
 let test_swarm_one_shard_identity () =
-  let p = { Scenarios.default_swarm with Scenarios.swarm_duration = 5. } in
-  let seq = Scenarios.run_swarm p in
-  let par = Scenarios.run_swarm ~sched:(Sched.create ~shards:1 ()) p in
-  let fp (r : Scenarios.swarm_result) =
-    ( r.Scenarios.swarm_good_received_bytes,
-      r.Scenarios.swarm_attack_received_bytes,
-      r.Scenarios.swarm_requests_sent,
-      r.Scenarios.swarm_filters,
-      r.Scenarios.swarm_events,
-      Series.points r.Scenarios.swarm_victim_rate )
-  in
-  checkb "swarm: 1-shard sched is bit-identical" true (fp seq = fp par)
+  let plain, sharded = replay_on_both ~until:5. swarm_world in
+  let (attack, _, requests, _, _, points), events = plain in
+  checkb "the swarm world did something" true
+    (attack > 0. && requests > 0 && events > 0 && points <> []);
+  checkb "swarm: 1-shard sched is bit-identical to a plain sim" true
+    (plain = sharded)
 
 (* --- internet scenario: determinism and shard-count agreement --------------- *)
 
