@@ -454,9 +454,6 @@ let e4 () =
       Table.cell_int (Filter_table.peak_occupancy (Gateway.filters b_gw1));
     ];
   let policed = Counter.get (Gateway.counters b_gw1) "req-policed" in
-  let offered = float_of_int (policed) +. float_of_int
-    (Counter.get (Gateway.counters b_gw1) "req-attacker-role" - policed) in
-  ignore offered;
   let total = Counter.get (Gateway.counters b_gw1) "req-attacker-role" in
   Table.add_row table
     [
@@ -1219,14 +1216,12 @@ let e12 () =
     (* Zombies in distinct random non-victim stubs. *)
     let stubs = Array.init (n_stubs - 1) (fun i -> i + 1) in
     Rng.shuffle rng stubs;
-    let offered = ref 0. in
     for z = 0 to zombies_per_run - 1 do
       let stub = stubs.(z mod Array.length stubs) in
       let agent =
         Random_net.attach_attacker ~strategy:Policy.Ignores d ~config:cfg
           ~stub ~host:(z mod 2)
       in
-      offered := !offered +. (4e5 *. 7.5 /. 8.);
       ignore
         (Traffic.cbr
            ~gate:(Host_agent.Attacker.gate agent)
@@ -1245,11 +1240,6 @@ let e12 () =
     in
     let at_stubs = count_filters d.Random_net.stub_gateways in
     let at_transits = count_filters d.Random_net.transit_gateways in
-    let victim_agent_bytes =
-      (* victim agent was shadowed by attach; count received via node stats *)
-      float_of_int victim_node.Node.rx_bytes
-    in
-    ignore victim_agent_bytes;
     (at_stubs, at_transits)
   in
   let table =
@@ -1570,7 +1560,7 @@ let a5 () =
   in
   row "block" blocked;
   row "rate-limit" limited;
-  Table.print table;
+  emit table;
   print_endline
     "Rate-limiting destabilises the protocol: the residual trickle keeps\n\
      hitting the victim gateway's shadow cache, which (correctly) reads\n\
@@ -1667,7 +1657,7 @@ let e14 () =
   row "manual operator (30 s/filter)" ~pool:8 ~defense:(`Manual 30.);
   row "manual operator (5 s/filter)" ~pool:1000 ~defense:(`Manual 5.);
   row "AITF" ~pool:1000 ~defense:`Aitf;
-  Table.print table;
+  emit table;
   print_endline
     "Against fresh identities every 2 s the human never catches up — every\n\
      filter lands after its flow is gone (with a small recycling pool the\n\

@@ -9,7 +9,7 @@ open Aitf_net
 open Aitf_filter
 
 (* Per-flow protocol state at a gateway acting as (possibly escalated)
-   victim's gateway. Lives as shadow-cache data so it expires with the
+   victim's gateway. Lives in the shadow table so it expires with the
    logged request. *)
 type flow_phase =
   | Filtering  (* temporary filter installed, waiting for handover *)
@@ -70,7 +70,10 @@ type t = {
   overload : Overload.t option;
       (* graceful-degradation manager wrapped around [filters]; None keeps
          raw-table behaviour bit-identical *)
-  shadow : flow_entry Shadow_cache.t;
+  shadow : flow_entry Label_table.t;
+      (* the DRAM shadow of filtering requests, mv = R1·T entries *)
+  mutable shadow_hits : int;  (* data-path lookups that matched *)
+  mutable shadow_misses : int;
   handshakes : Handshake.t;
   rng : Rng.t;
   policers : (Addr.t, Token_bucket.t) Hashtbl.t;
@@ -108,8 +111,21 @@ let filter_install ?rate_limit ?corr ?requestor t label ~duration =
   | Some mgr ->
     Overload.install ?rate_limit ?corr ?requestor mgr label ~duration
   | None -> Filter_table.install ?rate_limit ?corr t.filters label ~duration
-let shadow_occupancy t = Shadow_cache.occupancy t.shadow
-let shadow_peak t = Shadow_cache.peak_occupancy t.shadow
+let shadow_occupancy t = Label_table.occupancy t.shadow
+let shadow_peak t = Label_table.peak_occupancy t.shadow
+
+let shadow_refresh t entry =
+  Label_table.extend t.shadow entry
+    ~expires_at:(Sim.now t.sim +. t.config.Config.t_filter)
+
+(* The data-path shadow lookup, counted for the hit-rate metrics. *)
+let shadow_match t pkt =
+  let found = Label_table.match_packet t.shadow pkt in
+  (match found with
+  | Some _ -> t.shadow_hits <- t.shadow_hits + 1
+  | None -> t.shadow_misses <- t.shadow_misses + 1);
+  found
+
 let counters t = t.counters
 let requests_received t = t.requests_received
 let tracked_requestors t = Hashtbl.length t.policers
@@ -121,11 +137,11 @@ let phase_name = function
   | Awaiting_path -> "awaiting-path"
 
 let active_flows t =
-  let acc = ref [] in
-  Shadow_cache.iter t.shadow (fun entry ->
-      let e = Shadow_cache.data entry in
-      acc := (e.flow, phase_name e.phase) :: !acc);
-  List.sort (fun (a, _) (b, _) -> Flow_label.compare a b) !acc
+  List.map
+    (fun entry ->
+      let e = Label_table.data entry in
+      (e.flow, phase_name e.phase))
+    (Label_table.live_entries t.shadow)
 
 let trace t fmt =
   Trace.emitf (Sim.obs t.sim).Obs.trace ~time:(Sim.now t.sim)
@@ -598,18 +614,19 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
    upstream are the upstream's responsibility — its own [fail_over] covers
    them. Deterministic order by flow label. Returns the flows re-engaged. *)
 let fail_over t ~peer =
-  let stuck = ref [] in
-  Shadow_cache.iter t.shadow (fun entry ->
-      let e = Shadow_cache.data entry in
-      match e.phase with
-      | Filtering | Monitoring -> (
-        match List.nth_opt e.path e.round with
-        | Some gw when Addr.equal gw peer -> stuck := e :: !stuck
-        | Some _ | None -> ())
-      | Delegated | Awaiting_path -> ());
-  let stuck = List.sort (fun a b -> Flow_label.compare a.flow b.flow) !stuck in
+  let stuck =
+    Label_table.select t.shadow (fun entry ->
+        let e = Label_table.data entry in
+        match e.phase with
+        | Filtering | Monitoring -> (
+          match List.nth_opt e.path e.round with
+          | Some gw -> Addr.equal gw peer
+          | None -> false)
+        | Delegated | Awaiting_path -> false)
+  in
   List.iter
-    (fun e ->
+    (fun entry ->
+      let e = Label_table.data entry in
       Counter.incr t.counters "contract-failover";
       trace t "failing %a over past flagged %a" Flow_label.pp e.flow Addr.pp
         peer;
@@ -628,16 +645,16 @@ let victim_role t (req : Message.request) =
        retransmission or a duplicated packet. Recognise it before touching
        the requestor's contract: the reliability layer's retries must be
        idempotent, and an acknowledged no-op must not double-bill R1. *)
-    match Shadow_cache.find t.shadow req.Message.flow with
+    match Label_table.find t.shadow req.Message.flow with
     | Some entry as found -> (
-      match (Shadow_cache.data entry).phase with
+      match (Label_table.data entry).phase with
       | Filtering | Awaiting_path -> found
       | Monitoring | Delegated -> None)
     | None -> None
   in
   match duplicate_of with
   | Some entry ->
-    Shadow_cache.refresh t.shadow entry ~ttl:t.config.Config.t_filter;
+    shadow_refresh t entry;
     Counter.incr t.counters "req-duplicate"
   | None -> (
   let bucket = policer_for t req.Message.requestor in
@@ -657,10 +674,10 @@ let victim_role t (req : Message.request) =
       | Flow_label.Any | Flow_label.Net _ -> false)
   then Counter.incr t.counters "req-invalid"
   else
-    match Shadow_cache.find t.shadow req.Message.flow with
+    match Label_table.find t.shadow req.Message.flow with
     | Some entry ->
-      let e = Shadow_cache.data entry in
-      Shadow_cache.refresh t.shadow entry ~ttl:t.config.Config.t_filter;
+      let e = Label_table.data entry in
+      shadow_refresh t entry;
       e.round <- Int.max e.round req.Message.hops;
       if req.Message.path <> [] && List.length req.Message.path > List.length e.path
       then e.path <- req.Message.path;
@@ -682,8 +699,9 @@ let victim_role t (req : Message.request) =
         }
       in
       match
-        Shadow_cache.insert t.shadow req.Message.flow
-          ~ttl:t.config.Config.t_filter e
+        Label_table.insert t.shadow req.Message.flow
+          ~expires_at:(Sim.now t.sim +. t.config.Config.t_filter)
+          e
       with
       | Error `Full -> Counter.incr t.counters "shadow-full"
       | Ok _ -> (
@@ -1011,9 +1029,9 @@ let capture_for_traceback t (pkt : Packet.t) =
   match t.config.Config.traceback with
   | Config.Path_in_request -> ()
   | Config.Spie_query spie -> (
-    match Shadow_cache.match_packet t.shadow pkt with
-    | Some entry when (Shadow_cache.data entry).phase = Awaiting_path ->
-      let e = Shadow_cache.data entry in
+    match shadow_match t pkt with
+    | Some entry when (Label_table.data entry).phase = Awaiting_path ->
+      let e = Label_table.data entry in
       e.phase <- Filtering;
       let path, latency = Spie.reconstruct spie ~from:t.node pkt in
       ignore
@@ -1037,18 +1055,18 @@ let hook t (_node : Node.t) (pkt : Packet.t) =
       capture_for_traceback t pkt;
       Node.Drop "aitf-filter"
     | None -> begin
-    (match Shadow_cache.match_packet t.shadow pkt with
+    (match shadow_match t pkt with
     | Some entry -> (
-      let e = Shadow_cache.data entry in
+      let e = Label_table.data entry in
       match e.phase with
       | Monitoring ->
         if Sim.now t.sim >= e.engaged_at +. e.duration then
           (* The blocking interval T has legitimately elapsed; this is a new
              attack cycle. It must cost the victim a fresh request (that is
              the R1·T accounting), not be mistaken for non-cooperation. *)
-          Shadow_cache.remove t.shadow entry
+          Label_table.remove t.shadow entry
         else begin
-          Shadow_cache.refresh t.shadow entry ~ttl:t.config.Config.t_filter;
+          shadow_refresh t entry;
           trace t "flow %a reappeared; escalating" Flow_label.pp e.flow;
           escalate t e
         end
@@ -1067,7 +1085,7 @@ let deliver t prev (node : Node.t) (pkt : Packet.t) =
   | Message.Verification_query { flow; nonce } ->
     (* Only meaningful if the "victim" of an escalated round is this
        gateway itself; confirm iff we logged the request. *)
-    if Option.is_some (Shadow_cache.find t.shadow flow) then
+    if Option.is_some (Label_table.find t.shadow flow) then
       send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
   | _ -> prev node pkt
 
@@ -1117,7 +1135,11 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       client_cone = cone;
       filters;
       overload;
-      shadow = Shadow_cache.create sim ~capacity:config.Config.shadow_capacity;
+      shadow =
+        Label_table.create sim ~capacity:config.Config.shadow_capacity
+          ~expiry_label:"shadow-expiry";
+      shadow_hits = 0;
+      shadow_misses = 0;
       handshakes =
         Handshake.create ~retries:config.Config.ctrl_retries
           ~backoff:config.Config.ctrl_backoff sim rng
@@ -1161,7 +1183,30 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       (match t.overload with
       | Some mgr -> Overload.register_metrics mgr reg ~prefix:(p "overload")
       | None -> ());
-      Shadow_cache.register_metrics t.shadow reg ~prefix:(p "shadow");
+      let shadow metric = p ("shadow." ^ metric) in
+      register_gauge reg (shadow "occupancy") ~unit_:"entries"
+        ~help:"Live shadow-cache entries" (fun () ->
+          float_of_int (shadow_occupancy t));
+      register_gauge reg (shadow "peak_occupancy") ~unit_:"entries"
+        ~help:"High-water mark of live entries (compare with mv = R1*T)"
+        (fun () -> float_of_int (shadow_peak t));
+      register_counter reg (shadow "inserts") ~unit_:"entries"
+        ~help:"Inserts, refreshes included" (fun () ->
+          float_of_int (Label_table.inserts t.shadow));
+      register_counter reg (shadow "rejected") ~unit_:"entries"
+        ~help:"Inserts refused because the cache was full" (fun () ->
+          float_of_int (Label_table.rejected t.shadow));
+      register_counter reg (shadow "hits") ~unit_:"lookups"
+        ~help:"Data-path lookups that matched a live entry" (fun () ->
+          float_of_int t.shadow_hits);
+      register_counter reg (shadow "misses") ~unit_:"lookups"
+        ~help:"Data-path lookups that matched nothing" (fun () ->
+          float_of_int t.shadow_misses);
+      register_gauge reg (shadow "hit_rate") ~unit_:"ratio"
+        ~help:"hits / (hits + misses); 0 before any lookup" (fun () ->
+          let total = t.shadow_hits + t.shadow_misses in
+          if total = 0 then 0.
+          else float_of_int t.shadow_hits /. float_of_int total);
       register_counter reg (p "requests_received") ~unit_:"requests"
         ~help:"AITF filtering requests delivered to this gateway" (fun () ->
           float_of_int t.requests_received);

@@ -1,15 +1,10 @@
 module Sim = Aitf_engine.Sim
 open Aitf_net
 
-type handle = {
-  label : Flow_label.t;
-  installed_at : float;
-  mutable expires_at : float;
-  mutable alive : bool;
+type filter = {
   mutable hits : int;
   mutable hit_bytes : int;
   mutable last_hit : float option;
-  mutable expiry_event : Sim.handle option;
   mutable limiter : Token_bucket.t option;  (* None = block outright *)
   mutable corr : int option;
       (* correlation id of the filtering request that installed this entry;
@@ -17,223 +12,119 @@ type handle = {
          attribute install/removal to the right request *)
 }
 
+type handle = filter Label_table.entry
 type change = Installed of handle | Removed of handle
 
 type t = {
-  sim : Sim.t;
-  capacity : int;
-  exact : (Flow_label.t, handle) Hashtbl.t;
-  mutable wildcards : handle list;
-  by_label : (Flow_label.t, handle) Hashtbl.t;
-  mutable occupancy : int;
-  mutable peak : int;
-  mutable installs : int;
-  mutable rejected : int;
+  table : filter Label_table.t;
+  observers : (change -> unit) list ref;
   mutable blocked_packets : int;
   mutable blocked_bytes : int;
-  mutable observers : (change -> unit) list;
 }
 
+let notify observers ev = List.iter (fun f -> f ev) !observers
+
 let create sim ~capacity =
-  if capacity <= 0 then invalid_arg "Filter_table.create: capacity";
+  let observers = ref [] in
   {
-    sim;
-    capacity;
-    exact = Hashtbl.create 64;
-    wildcards = [];
-    by_label = Hashtbl.create 64;
-    occupancy = 0;
-    peak = 0;
-    installs = 0;
-    rejected = 0;
+    table =
+      Label_table.create sim ~capacity ~expiry_label:"filter-expiry"
+        ~on_remove:(fun h -> notify observers (Removed h));
+    observers;
     blocked_packets = 0;
     blocked_bytes = 0;
-    observers = [];
   }
 
-let subscribe t f = t.observers <- f :: t.observers
-let notify t ev = List.iter (fun f -> f ev) t.observers
-
-let detach t h =
-  if h.alive then begin
-    h.alive <- false;
-    (match h.expiry_event with Some e -> Sim.cancel e | None -> ());
-    h.expiry_event <- None;
-    Hashtbl.remove t.by_label h.label;
-    if Flow_label.is_exact h.label then Hashtbl.remove t.exact h.label
-    else t.wildcards <- List.filter (fun w -> w != h) t.wildcards;
-    t.occupancy <- t.occupancy - 1;
-    notify t (Removed h)
-  end
-
-(* Hoisted: one [Some] shared by every armed expiry. *)
-let expiry_label = Some "filter-expiry"
-
-let arm_expiry t h =
-  (match h.expiry_event with Some e -> Sim.cancel e | None -> ());
-  h.expiry_event <-
-    Some (Sim.at ?label:expiry_label t.sim h.expires_at (fun () -> detach t h))
+let subscribe t f = t.observers := f :: !(t.observers)
 
 let evict_subsumed t label =
+  (* removal fires the handlers, so evict in label order *)
   let victims =
-    Hashtbl.fold
-      (fun _ h acc ->
-        if h.alive && Flow_label.subsumes label h.label then h :: acc else acc)
-      t.by_label []
-    (* detach fires the removal handlers, so evict in label order, not
-       hash-bucket order *)
-    |> List.sort (fun a b -> Flow_label.compare a.label b.label)
+    Label_table.select t.table (fun h ->
+        Flow_label.subsumes label (Label_table.label h))
   in
-  List.iter (detach t) victims;
+  List.iter (Label_table.remove t.table) victims;
   List.length victims
 
 (* One second of burst, floored at a packet. *)
 let make_limiter rate = Token_bucket.create ~rate ~burst:(Float.max rate 1500.)
 
-(* The wildcard scan goes most-specific-first, ties broken by the label's
-   total order — so a broad aggregate never shadows a narrower filter, and
-   the match is independent of install order. *)
-let wildcard_before a b =
-  let c =
-    Int.compare (Flow_label.specificity b.label) (Flow_label.specificity a.label)
-  in
-  (if c <> 0 then c else Flow_label.compare a.label b.label) <= 0
-
-let rec insert_wildcard h = function
-  | [] -> [ h ]
-  | x :: _ as l when wildcard_before h x -> h :: l
-  | x :: rest -> x :: insert_wildcard h rest
-
 let install ?rate_limit ?corr t label ~duration =
-  let now = Sim.now t.sim in
-  match Hashtbl.find_opt t.by_label label with
-  | Some h ->
-    h.expires_at <- Float.max h.expires_at (now +. duration);
-    (match corr with Some _ -> h.corr <- corr | None -> ());
-    (* A refresh that names a rate honors it (replacing a limiter only when
-       the rate changed, so conforming state survives a same-rate refresh);
-       a refresh without one keeps the original action. *)
-    (match (rate_limit, h.limiter) with
+  let tbl = t.table in
+  (* A full table is not final: a new label subsuming live entries can make
+     its own room — the compaction move aggregation relies on. *)
+  if
+    Label_table.occupancy tbl >= Label_table.capacity tbl
+    && Option.is_none (Label_table.find tbl label)
+  then ignore (evict_subsumed t label);
+  let fresh =
+    { hits = 0; hit_bytes = 0; last_hit = None; limiter = None; corr = None }
+  in
+  match
+    Label_table.insert tbl label
+      ~expires_at:(Sim.now (Label_table.sim tbl) +. duration)
+      fresh
+  with
+  | Error `Full -> Error `Table_full
+  | Ok h ->
+    (* New or refreshed alike: a [corr] updates the stamp, and a rate is
+       honored (replacing a limiter only when the rate changed, so
+       conforming state survives a same-rate refresh); without them the
+       entry keeps what it had. *)
+    let f = Label_table.data h in
+    (match corr with Some _ -> f.corr <- corr | None -> ());
+    (match (rate_limit, f.limiter) with
     | None, _ -> ()
     | Some rate, Some old when Token_bucket.rate old = rate -> ()
-    | Some rate, _ -> h.limiter <- Some (make_limiter rate));
-    arm_expiry t h;
-    t.installs <- t.installs + 1;
+    | Some rate, _ -> f.limiter <- Some (make_limiter rate));
     (* A refresh can change the action (block <-> rate-limit), so observers
        hear about it too. *)
-    notify t (Installed h);
+    notify t.observers (Installed h);
     Ok h
-  | None ->
-    (* A full table is not final: a label subsuming live entries can make
-       its own room — the compaction move aggregation relies on. *)
-    if t.occupancy >= t.capacity then ignore (evict_subsumed t label);
-    if t.occupancy >= t.capacity then begin
-      t.rejected <- t.rejected + 1;
-      Error `Table_full
-    end
-    else begin
-      let limiter = Option.map make_limiter rate_limit in
-      let h =
-        {
-          label;
-          installed_at = now;
-          expires_at = now +. duration;
-          alive = true;
-          hits = 0;
-          hit_bytes = 0;
-          last_hit = None;
-          expiry_event = None;
-          limiter;
-          corr;
-        }
-      in
-      Hashtbl.replace t.by_label label h;
-      if Flow_label.is_exact label then Hashtbl.replace t.exact label h
-      else t.wildcards <- insert_wildcard h t.wildcards;
-      t.occupancy <- t.occupancy + 1;
-      if t.occupancy > t.peak then t.peak <- t.occupancy;
-      t.installs <- t.installs + 1;
-      arm_expiry t h;
-      notify t (Installed h);
-      Ok h
-    end
 
-let remove t h = detach t h
-
-let find t label =
-  match Hashtbl.find_opt t.by_label label with
-  | Some h when h.alive -> Some h
-  | _ -> None
-
-let live_entries t =
-  Hashtbl.fold (fun _ h acc -> if h.alive then h :: acc else acc) t.by_label []
-  |> List.sort (fun a b -> Flow_label.compare a.label b.label)
-
-let sim t = t.sim
-let label h = h.label
-let corr h = h.corr
-let rate_limit h = Option.map Token_bucket.rate h.limiter
-let installed_at h = h.installed_at
-let expires_at h = h.expires_at
-let live h = h.alive
-let hits h = h.hits
-let hit_bytes h = h.hit_bytes
-let last_hit h = h.last_hit
-
-(* The labels an exact-match probe must try for a packet: host-pair with and
-   without the protocol qualifier. *)
-let probe_exact t (pkt : Packet.t) =
-  let pair = Flow_label.host_pair pkt.src pkt.dst in
-  match Hashtbl.find_opt t.exact pair with
-  | Some h when h.alive -> Some h
-  | _ -> (
-    let with_proto = { pair with Flow_label.proto = Some pkt.proto } in
-    match Hashtbl.find_opt t.exact with_proto with
-    | Some h when h.alive -> Some h
-    | _ -> None)
-
-let matching_entry t pkt =
-  match probe_exact t pkt with
-  | Some h -> Some h
-  | None ->
-    List.find_opt
-      (fun h -> h.alive && Flow_label.matches h.label pkt)
-      t.wildcards
+let remove t h = Label_table.remove t.table h
+let find t label = Label_table.find t.table label
+let live_entries t = Label_table.live_entries t.table
+let sim t = Label_table.sim t.table
+let label = Label_table.label
+let corr h = (Label_table.data h).corr
+let rate_limit h = Option.map Token_bucket.rate (Label_table.data h).limiter
+let installed_at = Label_table.inserted_at
+let expires_at = Label_table.expires_at
+let live = Label_table.live
+let hits h = (Label_table.data h).hits
+let hit_bytes h = (Label_table.data h).hit_bytes
+let last_hit h = (Label_table.data h).last_hit
+let matching_entry t pkt = Label_table.match_packet t.table pkt
 
 let blocking_entry t pkt =
   match matching_entry t pkt with
   | None -> None
-  | Some h -> (
-    let record_hit () =
-      h.hits <- h.hits + 1;
-      h.hit_bytes <- h.hit_bytes + pkt.Packet.size;
-      h.last_hit <- Some (Sim.now t.sim);
-      t.blocked_packets <- t.blocked_packets + 1;
-      t.blocked_bytes <- t.blocked_bytes + pkt.Packet.size
+  | Some h ->
+    let f = Label_table.data h and now = Sim.now (sim t) in
+    let conforms =
+      match f.limiter with
+      | None -> false
+      | Some bucket ->
+        Token_bucket.allow bucket ~now ~cost:(float_of_int pkt.Packet.size)
     in
-    match h.limiter with
-    | None ->
-      record_hit ();
+    if conforms then None
+    else begin
+      f.hits <- f.hits + 1;
+      f.hit_bytes <- f.hit_bytes + pkt.Packet.size;
+      f.last_hit <- Some now;
+      t.blocked_packets <- t.blocked_packets + 1;
+      t.blocked_bytes <- t.blocked_bytes + pkt.Packet.size;
       Some h
-    | Some bucket ->
-      if
-        Token_bucket.allow bucket ~now:(Sim.now t.sim)
-          ~cost:(float_of_int pkt.Packet.size)
-      then None
-      else begin
-        record_hit ();
-        Some h
-      end)
+    end
 
 let blocks t pkt = Option.is_some (blocking_entry t pkt)
-
 let would_block t pkt = Option.is_some (matching_entry t pkt)
-
-let occupancy t = t.occupancy
-let capacity t = t.capacity
-let peak_occupancy t = t.peak
-let installs t = t.installs
-let rejected t = t.rejected
+let occupancy t = Label_table.occupancy t.table
+let capacity t = Label_table.capacity t.table
+let peak_occupancy t = Label_table.peak_occupancy t.table
+let installs t = Label_table.inserts t.table
+let rejected t = Label_table.rejected t.table
 let blocked_packets t = t.blocked_packets
 let blocked_bytes t = t.blocked_bytes
 
@@ -241,16 +132,16 @@ let register_metrics t reg ~prefix =
   let open Aitf_obs.Metrics in
   let p metric = prefix ^ "." ^ metric in
   register_gauge reg (p "occupancy") ~unit_:"filters"
-    ~help:"Live hardware filters" (fun () -> float_of_int t.occupancy);
+    ~help:"Live hardware filters" (fun () -> float_of_int (occupancy t));
   register_gauge reg (p "peak_occupancy") ~unit_:"filters"
     ~help:"High-water mark of live filters (compare with nv/na)" (fun () ->
-      float_of_int t.peak);
+      float_of_int (peak_occupancy t));
   register_counter reg (p "installs") ~unit_:"filters"
     ~help:"Successful installs, refreshes included" (fun () ->
-      float_of_int t.installs);
+      float_of_int (installs t));
   register_counter reg (p "rejected") ~unit_:"filters"
     ~help:"Installs refused because the table was full" (fun () ->
-      float_of_int t.rejected);
+      float_of_int (rejected t));
   register_counter reg (p "blocked_packets") ~unit_:"packets"
     ~help:"Packets dropped by a matching filter" (fun () ->
       float_of_int t.blocked_packets);

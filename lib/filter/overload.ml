@@ -66,28 +66,32 @@ let score h ~now =
   let age = Float.max (now -. Filter_table.installed_at h) 1e-9 in
   float_of_int (Filter_table.hits h) /. age
 
-let eviction_candidate ?sparing t =
+let eviction_order ~now a b =
+  let c = Float.compare (score a ~now) (score b ~now) in
+  let c =
+    if c <> 0 then c
+    else Float.compare (Filter_table.expires_at a) (Filter_table.expires_at b)
+  in
+  if c <> 0 then c
+  else Flow_label.compare (Filter_table.label a) (Filter_table.label b)
+
+(* The entry to evict first, if any. *)
+let least_valuable t handles =
   let now = Sim.now t.sim in
+  List.fold_left
+    (fun best h ->
+      match best with
+      | Some b when eviction_order ~now h b >= 0 -> best
+      | _ -> Some h)
+    None handles
+
+let eviction_candidate ?sparing t =
   let keep h =
     match sparing with
     | Some l -> not (Flow_label.equal (Filter_table.label h) l)
     | None -> true
   in
-  List.filter keep (Filter_table.live_entries t.table)
-  |> List.fold_left
-       (fun best h ->
-         match best with
-         | None -> Some h
-         | Some b ->
-           let c = Float.compare (score h ~now) (score b ~now) in
-           let c =
-             if c <> 0 then c
-             else
-               Float.compare (Filter_table.expires_at h)
-                 (Filter_table.expires_at b)
-           in
-           if c < 0 then Some h else best)
-       None
+  least_valuable t (List.filter keep (Filter_table.live_entries t.table))
 
 (* Span-trace the eviction against the request that installed the filter,
    so the victim's trace shows who paid for the table pressure. Recorded
@@ -224,30 +228,7 @@ let owned t requestor =
 let enforce_requestor_cap t requestor =
   let cell = owned t requestor in
   if List.length !cell >= t.policy.max_per_requestor then begin
-    let now = Sim.now t.sim in
-    let victim =
-      List.fold_left
-        (fun best h ->
-          match best with
-          | None -> Some h
-          | Some b ->
-            let c = Float.compare (score h ~now) (score b ~now) in
-            let c =
-              if c <> 0 then c
-              else
-                Float.compare (Filter_table.expires_at h)
-                  (Filter_table.expires_at b)
-            in
-            let c =
-              if c <> 0 then c
-              else
-                Flow_label.compare (Filter_table.label h)
-                  (Filter_table.label b)
-            in
-            if c < 0 then Some h else best)
-        None !cell
-    in
-    match victim with
+    match least_valuable t !cell with
     | Some h ->
       note_eviction t "overload-evict-requestor-cap" h;
       Filter_table.remove t.table h;

@@ -720,90 +720,113 @@ let test_overload_policy_validation () =
   checkb "aggregate of one" true
     (bad { Overload.default_policy with Overload.min_aggregate = 1 })
 
-(* --- Shadow cache ---------------------------------------------------------- *)
+(* --- Shadow cache (a Label_table of per-flow state) ------------------------ *)
+
+let shadow sim ~capacity =
+  Label_table.create sim ~capacity ~expiry_label:"shadow-expiry"
 
 let test_shadow_insert_find () =
   let sim = Sim.create () in
-  let c = Shadow_cache.create sim ~capacity:4 in
-  (match Shadow_cache.insert c l1 ~ttl:10. "state" with
-  | Ok e -> checkb "data" true (Shadow_cache.data e = "state")
+  let c = shadow sim ~capacity:4 in
+  (match Label_table.insert c l1 ~expires_at:10. "state" with
+  | Ok e -> checkb "data" true (Label_table.data e = "state")
   | Error `Full -> Alcotest.fail "full");
-  checkb "find" true (Option.is_some (Shadow_cache.find c l1));
-  checkb "miss" true (Shadow_cache.find c l2 = None);
-  checki "occupancy" 1 (Shadow_cache.occupancy c)
+  checkb "find" true (Option.is_some (Label_table.find c l1));
+  checkb "miss" true (Label_table.find c l2 = None);
+  checki "occupancy" 1 (Label_table.occupancy c)
 
 let test_shadow_match_packet () =
   let sim = Sim.create () in
-  let c = Shadow_cache.create sim ~capacity:4 in
-  ignore (Shadow_cache.insert c l1 ~ttl:10. 1);
-  (match Shadow_cache.match_packet c (p1 ()) with
-  | Some e -> checki "data via packet" 1 (Shadow_cache.data e)
+  let c = shadow sim ~capacity:4 in
+  ignore (Label_table.insert c l1 ~expires_at:10. 1);
+  (match Label_table.match_packet c (p1 ()) with
+  | Some e -> checki "data via packet" 1 (Label_table.data e)
   | None -> Alcotest.fail "expected match");
   checkb "other packet misses" true
-    (Shadow_cache.match_packet c
+    (Label_table.match_packet c
        (data_packet ~src:(addr "7.7.7.7") ~dst:(addr "2.0.0.2") ())
     = None)
 
 let test_shadow_ttl () =
   let sim = Sim.create () in
-  let c = Shadow_cache.create sim ~capacity:4 in
-  ignore (Shadow_cache.insert c l1 ~ttl:5. ());
+  let c = shadow sim ~capacity:4 in
+  ignore (Label_table.insert c l1 ~expires_at:5. ());
   Sim.run ~until:5.1 sim;
-  checkb "expired" true (Shadow_cache.find c l1 = None);
-  checki "occupancy" 0 (Shadow_cache.occupancy c)
+  checkb "expired" true (Label_table.find c l1 = None);
+  checki "occupancy" 0 (Label_table.occupancy c)
 
 let test_shadow_refresh () =
   let sim = Sim.create () in
-  let c = Shadow_cache.create sim ~capacity:4 in
+  let c = shadow sim ~capacity:4 in
   let e =
-    match Shadow_cache.insert c l1 ~ttl:5. () with
+    match Label_table.insert c l1 ~expires_at:5. () with
     | Ok e -> e
     | Error `Full -> Alcotest.fail "full"
   in
-  ignore (Sim.at sim 4. (fun () -> Shadow_cache.refresh c e ~ttl:5.));
+  ignore
+    (Sim.at sim 4. (fun () ->
+         Label_table.extend c e ~expires_at:(Sim.now sim +. 5.)));
   Sim.run ~until:8. sim;
-  checkb "still live after refresh" true (Option.is_some (Shadow_cache.find c l1));
+  checkb "still live after refresh" true (Option.is_some (Label_table.find c l1));
   Sim.run ~until:9.1 sim;
-  checkb "expires at refreshed deadline" true (Shadow_cache.find c l1 = None)
+  checkb "expires at refreshed deadline" true (Label_table.find c l1 = None)
 
 let test_shadow_capacity () =
   let sim = Sim.create () in
-  let c = Shadow_cache.create sim ~capacity:2 in
-  ignore (Shadow_cache.insert c l1 ~ttl:10. ());
-  ignore (Shadow_cache.insert c l2 ~ttl:10. ());
+  let c = shadow sim ~capacity:2 in
+  ignore (Label_table.insert c l1 ~expires_at:10. ());
+  ignore (Label_table.insert c l2 ~expires_at:10. ());
   (match
-     Shadow_cache.insert c
+     Label_table.insert c
        (Flow_label.host_pair (addr "1.0.0.3") (addr "2.0.0.2"))
-       ~ttl:10. ()
+       ~expires_at:10. ()
    with
   | Ok _ -> Alcotest.fail "expected Full"
   | Error `Full -> ());
-  checki "rejected" 1 (Shadow_cache.rejected c);
-  checki "peak" 2 (Shadow_cache.peak_occupancy c)
+  checki "rejected" 1 (Label_table.rejected c);
+  checki "peak" 2 (Label_table.peak_occupancy c)
 
-let test_shadow_reinsert_replaces () =
+(* Re-inserting a live label refreshes it: the existing entry comes back
+   with its own data and the later deadline. *)
+let test_shadow_reinsert_refreshes () =
   let sim = Sim.create () in
-  let c = Shadow_cache.create sim ~capacity:1 in
-  ignore (Shadow_cache.insert c l1 ~ttl:10. 1);
-  (match Shadow_cache.insert c l1 ~ttl:10. 2 with
-  | Ok e -> checki "data replaced" 2 (Shadow_cache.data e)
+  let c = shadow sim ~capacity:1 in
+  ignore (Label_table.insert c l1 ~expires_at:10. 1);
+  (match Label_table.insert c l1 ~expires_at:20. 2 with
+  | Ok e ->
+    checki "data kept" 1 (Label_table.data e);
+    checkb "deadline extended" true (Label_table.expires_at e = 20.)
   | Error `Full -> Alcotest.fail "reinsert must not hit capacity");
-  checki "occupancy 1" 1 (Shadow_cache.occupancy c)
+  checki "occupancy 1" 1 (Label_table.occupancy c)
 
 let test_shadow_remove_and_iter () =
   let sim = Sim.create () in
-  let c = Shadow_cache.create sim ~capacity:4 in
+  let c = shadow sim ~capacity:4 in
   let e =
-    match Shadow_cache.insert c l1 ~ttl:10. () with
+    match Label_table.insert c l1 ~expires_at:10. () with
     | Ok e -> e
     | Error `Full -> Alcotest.fail "full"
   in
-  ignore (Shadow_cache.insert c l2 ~ttl:10. ());
-  Shadow_cache.remove c e;
-  let n = ref 0 in
-  Shadow_cache.iter c (fun _ -> incr n);
-  checki "one live entry" 1 !n;
-  checkb "removed entry dead" false (Shadow_cache.live e)
+  ignore (Label_table.insert c l2 ~expires_at:10. ());
+  Label_table.remove c e;
+  checki "one live entry" 1 (List.length (Label_table.live_entries c));
+  checkb "removed entry dead" false (Label_table.live e)
+
+(* A /24 entry wins over an any-source entry for a packet inside the /24,
+   whichever was inserted first. *)
+let test_shadow_wildcard_most_specific_first () =
+  let victim = addr "2.0.0.2" in
+  let net = Flow_label.from_net (Addr.prefix (addr "1.0.0.0") 24) victim in
+  let any = Flow_label.v Flow_label.Any (Flow_label.Host victim) in
+  List.iter
+    (fun order ->
+      let c = shadow (Sim.create ()) ~capacity:4 in
+      List.iter (fun (l, d) -> ignore (Label_table.insert c l ~expires_at:10. d)) order;
+      let matched pkt = Option.map Label_table.data (Label_table.match_packet c pkt) in
+      checkb "/24 matches inside" true (matched (p1 ()) = Some "net");
+      checkb "any matches outside" true
+        (matched (data_packet ~src:(addr "7.7.7.7") ~dst:victim ()) = Some "any"))
+    [ [ (net, "net"); (any, "any") ]; [ (any, "any"); (net, "net") ] ]
 
 (* --- Token bucket ---------------------------------------------------------- *)
 
@@ -934,8 +957,10 @@ let () =
           Alcotest.test_case "ttl" `Quick test_shadow_ttl;
           Alcotest.test_case "refresh" `Quick test_shadow_refresh;
           Alcotest.test_case "capacity" `Quick test_shadow_capacity;
-          Alcotest.test_case "reinsert" `Quick test_shadow_reinsert_replaces;
+          Alcotest.test_case "reinsert" `Quick test_shadow_reinsert_refreshes;
           Alcotest.test_case "remove/iter" `Quick test_shadow_remove_and_iter;
+          Alcotest.test_case "wildcard most-specific-first" `Quick
+            test_shadow_wildcard_most_specific_first;
         ] );
       ( "token_bucket",
         [
