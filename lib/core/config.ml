@@ -29,9 +29,7 @@ type t = {
   ctrl_rto : float;
   ctrl_backoff : float;
   overload_manager : bool;
-  overload_high : float;
   overload_low : float;
-  overload_max_per_requestor : int;
   engine : engine;
   hybrid_epoch : float;
   hybrid_probe_rate : float;
@@ -65,9 +63,7 @@ let default =
     ctrl_rto = 0.5;
     ctrl_backoff = 2.0;
     overload_manager = false;
-    overload_high = 0.9;
     overload_low = 0.6;
-    overload_max_per_requestor = max_int;
     engine = Packet;
     hybrid_epoch = 0.1;
     hybrid_probe_rate = 0.0;

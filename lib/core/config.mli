@@ -78,13 +78,9 @@ type t = {
           with prefix aggregation, per-requestor caps and priority eviction
           instead of bare [`Table_full] refusals. Off (the default) keeps
           installs byte-identical to the unmanaged table. *)
-  overload_high : float;
-      (** occupancy fraction that engages degraded mode (default 0.9) *)
   overload_low : float;
-      (** occupancy fraction that disengages it (default 0.6) *)
-  overload_max_per_requestor : int;
-      (** outstanding filters one requestor may hold while degraded;
-          [max_int] (the default) disables the cap *)
+      (** occupancy fraction that disengages degraded mode (default 0.6);
+          the rest of the policy is {!Aitf_filter.Overload.default_policy} *)
   engine : engine;
       (** which data-plane substrate scenario runners build (default
           {!Packet}; the choice never alters packet-engine behaviour) *)

@@ -1,53 +1,10 @@
-module Sim = Aitf_engine.Sim
-open Aitf_net
-open Aitf_filter
+type state = Unseen | Pending | Reported of float
 
-type flow_state =
-  | Pending  (* Td timer running *)
-  | Reported of float  (* time of last report *)
+type action = Arm_td | Report | Wait
 
-type t = {
-  sim : Sim.t;
-  td : float;
-  min_report_gap : float;
-  on_detect : Flow_label.t -> Packet.t -> unit;
-  flows : (Flow_label.t, flow_state ref) Hashtbl.t;
-  mutable detections : int;
-}
-
-let create sim ~td ~min_report_gap ~on_detect =
-  {
-    sim;
-    td;
-    min_report_gap;
-    on_detect;
-    flows = Hashtbl.create 64;
-    detections = 0;
-  }
-
-let report t label pkt state =
-  state := Reported (Sim.now t.sim);
-  t.detections <- t.detections + 1;
-  t.on_detect label pkt
-
-let observe t (pkt : Packet.t) =
-  let label = Flow_label.host_pair pkt.src pkt.dst in
-  match Hashtbl.find_opt t.flows label with
-  | None ->
-    let state = ref Pending in
-    Hashtbl.replace t.flows label state;
-    ignore
-      (Sim.after ~label:"detection-td" t.sim t.td (fun () ->
-           report t label pkt state))
-  | Some ({ contents = Pending } as _state) -> ()
-  | Some ({ contents = Reported last } as state) ->
+let on_packet ~min_report_gap ~now = function
+  | Unseen -> Arm_td
+  | Pending -> Wait
+  | Reported last ->
     (* Reappearance: instant re-detection, damped. *)
-    if Sim.now t.sim -. last >= t.min_report_gap then report t label pkt state
-
-let known t label =
-  match Hashtbl.find_opt t.flows label with
-  | Some { contents = Reported _ } -> true
-  | _ -> false
-
-let flows_seen t = Hashtbl.length t.flows
-let detections t = t.detections
+    if now -. last >= min_report_gap then Report else Wait

@@ -6,31 +6,24 @@
     recognised "as fast as matching a received packet header to a logged
     undesired flow label — i.e. insignificant".
 
-    This module implements exactly that: a per-flow state machine with a Td
-    timer on first sight, instant reporting on reappearance, and a
+    This module is that rule alone: a transition on one flow's detection
+    state — Td on first sight, instant re-detection of a logged flow, and a
     configurable damper ([min_report_gap]) so a still-leaking flow does not
-    burn the victim's whole request budget. *)
+    burn the victim's whole request budget. The state lives in the caller's
+    per-flow record (the victim's flow log, {!Host_agent.Victim}), which
+    runs the Td timer and applies the result. *)
 
-open Aitf_net
-open Aitf_filter
+type state =
+  | Unseen  (** no packet of the flow observed yet *)
+  | Pending  (** first sight: the Td timer is running *)
+  | Reported of float  (** logged; time of the last report *)
 
-type t
+type action =
+  | Arm_td  (** first sight: set {!Pending}, report after Td *)
+  | Report  (** a logged flow reappeared: report now *)
+  | Wait  (** Td still running, or damped by [min_report_gap] *)
 
-val create :
-  Aitf_engine.Sim.t ->
-  td:float ->
-  min_report_gap:float ->
-  on_detect:(Flow_label.t -> Packet.t -> unit) ->
-  t
-(** [on_detect] fires with the flow's label and the packet that triggered
-    the (re)detection. *)
-
-val observe : t -> Packet.t -> unit
-(** Feed every received packet the victim considers undesired. *)
-
-val known : t -> Flow_label.t -> bool
-(** Has this flow ever been detected? *)
-
-val flows_seen : t -> int
-val detections : t -> int
-(** Total [on_detect] firings, re-detections included. *)
+val on_packet : min_report_gap:float -> now:float -> state -> action
+(** What an undesired packet arriving at [now] does to a flow in [state].
+    The caller applies it: [Arm_td] sets {!Pending}, and a report, now or
+    when Td runs out, sets [Reported] at the report's time. *)

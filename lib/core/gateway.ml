@@ -1,5 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
+module Timer = Aitf_engine.Timer
 module Trace = Aitf_obs.Trace
 module Counter = Aitf_stats.Counter
 module Spie = Aitf_traceback.Spie
@@ -582,29 +583,22 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
   if t.config.Config.ctrl_retries > 0 then begin
     let gen = e.gen in
     e.sent_hits <- entry_hits e;
-    let rec arm rto attempt =
-      ignore
-        (Sim.after ~label:"gw-ctrl-retry" t.sim rto (fun () ->
-             if e.gen = gen then begin
-               let hits = entry_hits e in
-               if hits > e.sent_hits then
-                 if attempt <= t.config.Config.ctrl_retries then begin
-                   Counter.incr t.counters "ctrl-retransmit";
-                   Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
-                     ~now:(Sim.now t.sim) "ctrl-retransmit";
-                   e.sent_hits <- hits;
-                   resend ();
-                   arm (rto *. t.config.Config.ctrl_backoff) (attempt + 1)
-                 end
-                 else begin
-                   Counter.incr t.counters "ctrl-gave-up";
-                   Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
-                     ~now:(Sim.now t.sim) "ctrl-gave-up";
-                   gave_up ()
-                 end
-             end))
-    in
-    arm t.config.Config.ctrl_rto 1
+    ignore
+      (Timer.backoff ~label:"gw-ctrl-retry" t.sim ~rto:t.config.Config.ctrl_rto
+         ~factor:t.config.Config.ctrl_backoff
+         ~retries:t.config.Config.ctrl_retries
+         ~evidence:(fun () -> e.gen = gen && entry_hits e > e.sent_hits)
+         ~resend:(fun _ ->
+           Counter.incr t.counters "ctrl-retransmit";
+           Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
+             ~now:(Sim.now t.sim) "ctrl-retransmit";
+           e.sent_hits <- entry_hits e;
+           resend ())
+         ~give_up:(fun () ->
+           Counter.incr t.counters "ctrl-gave-up";
+           Span.event (spans t) ~node:t.node.Node.name ~corr:e.corr
+             ~now:(Sim.now t.sim) "ctrl-gave-up";
+           gave_up ()))
   end
 
 (* Byzantine failover: re-engage every flow whose current round points at
@@ -1115,10 +1109,8 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
         (Overload.create
            ~policy:
              {
-               Overload.high_watermark = config.Config.overload_high;
+               Overload.default_policy with
                low_watermark = config.Config.overload_low;
-               max_per_requestor = config.Config.overload_max_per_requestor;
-               min_aggregate = 2;
              }
            sim filters)
     else None
@@ -1191,7 +1183,8 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
         ~help:"High-water mark of live entries (compare with mv = R1*T)"
         (fun () -> float_of_int (shadow_peak t));
       register_counter reg (shadow "inserts") ~unit_:"entries"
-        ~help:"Inserts, refreshes included" (fun () ->
+        ~help:"New entries; refreshes of a live entry are not counted"
+        (fun () ->
           float_of_int (Label_table.inserts t.shadow));
       register_counter reg (shadow "rejected") ~unit_:"entries"
         ~help:"Inserts refused because the cache was full" (fun () ->

@@ -1,13 +1,12 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
+module Timer = Aitf_engine.Timer
 open Aitf_filter
 
 type pending = {
   flow : Flow_label.t;
   on_result : bool -> unit;
-  send : int64 -> unit;
-  mutable attempts : int;  (* transmissions so far, including the first *)
-  mutable timeout_event : Sim.handle option;
+  mutable schedule : Timer.t option;  (* timeouts and retransmissions *)
 }
 
 type t = {
@@ -52,40 +51,34 @@ let rec fresh_nonce t =
   if Hashtbl.mem t.table n || Hashtbl.mem t.completed n then fresh_nonce t
   else n
 
-(* Arm the timeout for the current attempt. On expiry: retransmit with the
-   backed-off timeout while the retry budget lasts, then fail exactly once. *)
-let rec arm t nonce (p : pending) rto =
-  p.timeout_event <-
-    Some
-      (Sim.after ~label:"handshake-rto" t.sim rto (fun () ->
-           if Hashtbl.mem t.table nonce then begin
-             if p.attempts - 1 < t.retries then begin
-               t.retransmits <- t.retransmits + 1;
-               p.attempts <- p.attempts + 1;
-               p.send nonce;
-               arm t nonce p (rto *. t.backoff)
-             end
-             else begin
-               Hashtbl.remove t.table nonce;
-               t.timed_out <- t.timed_out + 1;
-               p.on_result false
-             end
-           end))
-
+(* Send the query, then arm its timeout: on expiry, retransmit with the
+   backed-off timeout while the retry budget lasts, then fail exactly
+   once. *)
 let start t ~flow ~send ~on_result =
   let nonce = fresh_nonce t in
-  let p = { flow; on_result; send; attempts = 1; timeout_event = None } in
+  let p = { flow; on_result; schedule = None } in
   Hashtbl.replace t.table nonce p;
   t.started <- t.started + 1;
   send nonce;
-  arm t nonce p t.timeout;
+  p.schedule <-
+    Some
+      (Timer.backoff ~label:"handshake-rto" t.sim ~rto:t.timeout
+         ~factor:t.backoff ~retries:t.retries
+         ~evidence:(fun () -> Hashtbl.mem t.table nonce)
+         ~resend:(fun _ ->
+           t.retransmits <- t.retransmits + 1;
+           send nonce)
+         ~give_up:(fun () ->
+           Hashtbl.remove t.table nonce;
+           t.timed_out <- t.timed_out + 1;
+           on_result false));
   nonce
 
 let handle_reply t ~flow ~nonce =
   match Hashtbl.find_opt t.table nonce with
   | Some p when Flow_label.equal p.flow flow ->
     Hashtbl.remove t.table nonce;
-    Option.iter Sim.cancel p.timeout_event;
+    Option.iter Timer.cancel p.schedule;
     Hashtbl.replace t.completed nonce p.flow;
     t.verified <- t.verified + 1;
     p.on_result true

@@ -4,6 +4,7 @@ module Obs = Aitf_obs.Obs
 module Rate_meter = Aitf_stats.Rate_meter
 module Ppm = Aitf_traceback.Ppm
 module Span = Aitf_obs.Span
+module Timer = Aitf_engine.Timer
 open Aitf_net
 open Aitf_filter
 
@@ -13,6 +14,31 @@ type path_source =
   | Gateway_traceback
 
 module Victim = struct
+  (* The victim's log of undesired flow labels (§IV-A.1): one record per
+     flow, keyed by the host-pair label of its attack packets, carrying
+     everything detection, requests, retries and handshake confirmation
+     need to know about it. *)
+  type flow = {
+    label : Flow_label.t;
+    corr : int;
+        (* correlation id minted on the flow's first packet — the key every
+           span of the flow's filtering request hangs from. Minted
+           unconditionally (a plain counter, no randomness) so traced and
+           untraced runs make identical random/scheduling decisions. *)
+    mutable bytes : float;
+    mutable detection : Detection.state;
+    mutable last_seen : float;
+        (* when an attack packet of this flow last arrived — the evidence
+           the retransmitter reads: still arriving => request had no effect *)
+    mutable requested_until : float;
+        (* expiry of the last request sent for the flow ([neg_infinity]:
+           never requested); handshake queries are confirmed until then *)
+    mutable retrying : bool;
+        (* a retransmission schedule is armed, to avoid overlap *)
+    mutable awaiting_path : bool;
+        (* detected, request held until the PPM path converges *)
+  }
+
   type t = {
     net : Network.t;
     sim : Sim.t;
@@ -20,24 +46,12 @@ module Victim = struct
     gateway : Addr.t;
     config : Config.t;
     path_source : path_source;
-    detection : Detection.t option ref;
-        (* ref to tie the knot: detection's callback needs [t] *)
+    td : float;
     bucket : Token_bucket.t;
-    requested : (Flow_label.t, float) Hashtbl.t;  (* flow -> expiry *)
-    awaiting_path : (Flow_label.t, unit) Hashtbl.t;
-    last_seen : (Flow_label.t, float) Hashtbl.t;
-        (* when an attack packet of this flow last arrived — the evidence
-           the retransmitter reads: still arriving => request had no effect *)
-    retrying : (Flow_label.t, unit) Hashtbl.t;
-        (* flows with an armed retransmission schedule, to avoid overlap *)
+    flows : (Flow_label.t, flow) Hashtbl.t;
+    mutable awaiting : int;  (* flows with [awaiting_path] set *)
     attack_meter : Rate_meter.t;
     good_meter : Rate_meter.t;
-    per_flow : (Flow_label.t, float ref) Hashtbl.t;
-    corrs : (Flow_label.t, int) Hashtbl.t;
-        (* correlation id minted per attack flow — the key every span of the
-           flow's filtering request hangs from. Minted unconditionally (a
-           plain counter, no randomness) so traced and untraced runs make
-           identical random/scheduling decisions. *)
     mutable signer : (Bytes.t -> int64) option;
         (* contract layer: keyed digest over canonical request bytes *)
     mutable receipt_sink : (Message.receipt -> unit) option;
@@ -67,39 +81,32 @@ module Victim = struct
     Network.originate t.net t.node
       (Message.packet ~src:t.node.Node.addr ~dst payload)
 
-  let requested_live t flow =
-    match Hashtbl.find_opt t.requested flow with
-    | Some expiry when Sim.now t.sim < expiry -> true
-    | Some _ ->
-      Hashtbl.remove t.requested flow;
-      false
-    | None -> false
+  let requested_live t r = Sim.now t.sim < r.requested_until
 
-  let corr_of t flow =
-    match Hashtbl.find_opt t.corrs flow with Some c -> c | None -> 0
-
-  let request_message t flow path =
+  let request_message t r path =
     let req =
       {
-        Message.flow;
+        Message.flow = r.label;
         target = Message.To_victim_gateway;
         duration = t.config.Config.t_filter;
         path;
         hops = 0;
         requestor = t.node.Node.addr;
-        corr = corr_of t flow;
+        corr = r.corr;
         auth = 0L;
       }
     in
-    let req =
-      match t.signer with
-      | None -> req
-      | Some sign -> (
-        match Wire.signing_bytes (Message.Filtering_request req) with
-        | Ok b -> { req with Message.auth = sign b }
-        | Error _ -> req)
-    in
-    Message.Filtering_request req
+    match t.signer with
+    | None -> req
+    | Some sign -> (
+      match Wire.signing_bytes (Message.Filtering_request req) with
+      | Ok b -> { req with Message.auth = sign b }
+      | Error _ -> req)
+
+  let suppressed t r =
+    t.requests_suppressed <- t.requests_suppressed + 1;
+    Span.event (spans t) ~node:t.node.Node.name ~corr:r.corr
+      ~now:(Sim.now t.sim) "request-suppressed"
 
   (* The request to the gateway crosses the very tail circuit the attack is
      flooding, so it is the likeliest control message to drown. While the
@@ -107,71 +114,49 @@ module Victim = struct
      effect, was lost), resend with exponential backoff up to the retry
      cap. Retransmissions consume the same R1 bucket as fresh requests —
      reliability must not become a way around the contract. *)
-  let arm_retry t flow path =
-    if t.config.Config.ctrl_retries > 0 && not (Hashtbl.mem t.retrying flow)
-    then begin
-      Hashtbl.replace t.retrying flow ();
+  let arm_retry t r path =
+    if t.config.Config.ctrl_retries > 0 && not r.retrying then begin
+      r.retrying <- true;
       let sent_at = ref (Sim.now t.sim) in
-      let rec arm rto attempt =
-        ignore
-          (Sim.after ~label:"victim-retry" t.sim rto (fun () ->
-               let still_arriving =
-                 match Hashtbl.find_opt t.last_seen flow with
-                 | Some ts -> ts > !sent_at
-                 | None -> false
-               in
-               if requested_live t flow && still_arriving then
-                 if attempt <= t.config.Config.ctrl_retries then begin
-                   if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
-                     t.requests_retransmitted <- t.requests_retransmitted + 1;
-                     Span.event (spans t) ~node:t.node.Node.name
-                       ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
-                       "victim-retransmit";
-                     trace t "re-requesting block of %a (attempt %d)"
-                       Flow_label.pp flow (attempt + 1);
-                     send t ~dst:t.gateway (request_message t flow path)
-                   end
-                   else begin
-                     t.requests_suppressed <- t.requests_suppressed + 1;
-                     Span.event (spans t) ~node:t.node.Node.name
-                       ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
-                       "request-suppressed"
-                   end;
-                   sent_at := Sim.now t.sim;
-                   arm (rto *. t.config.Config.ctrl_backoff) (attempt + 1)
-                 end
-                 else begin
-                   t.requests_gave_up <- t.requests_gave_up + 1;
-                   Span.event (spans t) ~node:t.node.Node.name
-                     ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
-                     "victim-gave-up";
-                   Hashtbl.remove t.retrying flow
-                 end
-               else Hashtbl.remove t.retrying flow))
-      in
-      arm t.config.Config.ctrl_rto 1
+      ignore
+        (Timer.backoff ~label:"victim-retry" t.sim ~rto:t.config.Config.ctrl_rto
+           ~factor:t.config.Config.ctrl_backoff
+           ~retries:t.config.Config.ctrl_retries
+           ~evidence:(fun () ->
+             r.retrying <- requested_live t r && r.last_seen > !sent_at;
+             r.retrying)
+           ~resend:(fun attempt ->
+             if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
+               t.requests_retransmitted <- t.requests_retransmitted + 1;
+               Span.event (spans t) ~node:t.node.Node.name ~corr:r.corr
+                 ~now:(Sim.now t.sim) "victim-retransmit";
+               trace t "re-requesting block of %a (attempt %d)" Flow_label.pp
+                 r.label (attempt + 1);
+               send t ~dst:t.gateway
+                 (Message.Filtering_request (request_message t r path))
+             end
+             else suppressed t r;
+             sent_at := Sim.now t.sim)
+           ~give_up:(fun () ->
+             t.requests_gave_up <- t.requests_gave_up + 1;
+             Span.event (spans t) ~node:t.node.Node.name ~corr:r.corr
+               ~now:(Sim.now t.sim) "victim-gave-up";
+             r.retrying <- false))
     end
 
-  let send_request t flow path =
+  let send_request t r path =
     if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
       t.requests_sent <- t.requests_sent + 1;
-      Hashtbl.replace t.requested flow
-        (Sim.now t.sim +. t.config.Config.t_filter);
-      trace t "requesting block of %a" Flow_label.pp flow;
-      Span.start (spans t) ~corr:(corr_of t flow) ~stage:Span.Request
+      r.requested_until <- Sim.now t.sim +. t.config.Config.t_filter;
+      trace t "requesting block of %a" Flow_label.pp r.label;
+      Span.start (spans t) ~corr:r.corr ~stage:Span.Request
         ~node:t.node.Node.name ~now:(Sim.now t.sim);
-      let payload = request_message t flow path in
-      (match (t.request_observer, payload) with
-      | Some f, Message.Filtering_request req -> f req
-      | _, _ -> ());
-      send t ~dst:t.gateway payload;
-      arm_retry t flow path
+      let req = request_message t r path in
+      (match t.request_observer with Some f -> f req | None -> ());
+      send t ~dst:t.gateway (Message.Filtering_request req);
+      arm_retry t r path
     end
-    else begin
-      t.requests_suppressed <- t.requests_suppressed + 1;
-      Span.event (spans t) ~node:t.node.Node.name ~corr:(corr_of t flow)
-        ~now:(Sim.now t.sim) "request-suppressed"
-    end
+    else suppressed t r
 
   (* PPM reconstructions start as prefixes of the true path (the victim-
      nearest edges converge first), so a path is only trusted once it has
@@ -190,50 +175,64 @@ module Victim = struct
 
   (* Detection fired (first time after Td, or instantly on reappearance):
      assemble the attack path per the configured traceback source. *)
-  let on_detect t flow (pkt : Packet.t) =
-    Span.finish (spans t) ~node:t.node.Node.name ~corr:(corr_of t flow)
+  let on_detect t r (pkt : Packet.t) =
+    r.detection <- Detection.Reported (Sim.now t.sim);
+    Span.finish (spans t) ~node:t.node.Node.name ~corr:r.corr
       ~stage:Span.Detect ~now:(Sim.now t.sim) ();
     match t.path_source with
-    | From_route_record -> send_request t flow pkt.route_record
-    | Gateway_traceback -> send_request t flow []
+    | From_route_record -> send_request t r pkt.route_record
+    | Gateway_traceback -> send_request t r []
     | From_ppm collector -> (
       match ppm_path_ready t collector with
-      | Some path -> send_request t flow path
-      | None -> Hashtbl.replace t.awaiting_path flow ())
+      | Some path -> send_request t r path
+      | None ->
+        if not r.awaiting_path then begin
+          r.awaiting_path <- true;
+          t.awaiting <- t.awaiting + 1
+        end)
 
   (* PPM convergence: retry pending reconstructions as marks accumulate. *)
   let retry_awaiting t collector =
-    if Hashtbl.length t.awaiting_path > 0 then begin
+    if t.awaiting > 0 then begin
       match ppm_path_ready t collector with
       | None -> ()
       | Some path ->
-        let flows =
-          Hashtbl.fold (fun f () acc -> f :: acc) t.awaiting_path []
-          |> List.sort Flow_label.compare
-          (* requests fire in label order, not hash-bucket order *)
-        in
-        List.iter
-          (fun flow ->
-            Hashtbl.remove t.awaiting_path flow;
-            send_request t flow path)
-          flows
+        Hashtbl.fold
+          (fun _ r acc -> if r.awaiting_path then r :: acc else acc)
+          t.flows []
+        (* requests fire in label order, not hash-bucket order *)
+        |> List.sort (fun a b -> Flow_label.compare a.label b.label)
+        |> List.iter (fun r ->
+               r.awaiting_path <- false;
+               t.awaiting <- t.awaiting - 1;
+               send_request t r path)
     end
 
-  let on_attack_packet t (pkt : Packet.t) =
+  let observe_attack t (pkt : Packet.t) =
     let now = Sim.now t.sim in
     t.attack_packets <- t.attack_packets + 1;
     Rate_meter.add t.attack_meter ~now (float_of_int pkt.size);
     let label = Flow_label.host_pair pkt.src pkt.dst in
-    let cell =
-      match Hashtbl.find_opt t.per_flow label with
-      | Some c -> c
+    let r =
+      match Hashtbl.find_opt t.flows label with
+      | Some r -> r
       | None ->
-        let c = ref 0. in
-        Hashtbl.replace t.per_flow label c;
-        (* First attack packet of this flow: mint the flow's correlation id
-           and open its request tree. Detection starts counting here. *)
+        (* First attack packet of this flow: log it, mint its correlation
+           id and open its request tree. Detection starts counting here. *)
         let corr = Obs.mint (Sim.obs t.sim) in
-        Hashtbl.replace t.corrs label corr;
+        let r =
+          {
+            label;
+            corr;
+            bytes = 0.;
+            detection = Detection.Unseen;
+            last_seen = now;
+            requested_until = neg_infinity;
+            retrying = false;
+            awaiting_path = false;
+          }
+        in
+        Hashtbl.replace t.flows label r;
         if Option.is_some (spans t) then begin
           Span.root (spans t) ~corr
             ~flow:(Format.asprintf "%a" Flow_label.pp label)
@@ -241,81 +240,97 @@ module Victim = struct
           Span.start (spans t) ~corr ~stage:Span.Detect ~node:t.node.Node.name
             ~now
         end;
-        c
+        r
     in
-    cell := !cell +. float_of_int pkt.size;
-    Hashtbl.replace t.last_seen label now;
+    (* Side effects in this order — flow minted, last arrival, arrival
+       observer, PPM, detection — which fixes the order of the events they
+       schedule. *)
+    r.bytes <- r.bytes +. float_of_int pkt.size;
+    r.last_seen <- now;
     (match t.arrival_observer with Some f -> f label now | None -> ());
     (match t.path_source with
     | From_ppm collector ->
       Ppm.Collector.observe collector pkt;
       retry_awaiting t collector
     | From_route_record | Gateway_traceback -> ());
-    match !(t.detection) with
-    | Some d -> Detection.observe d pkt
-    | None -> ()
+    match
+      Detection.on_packet ~min_report_gap:t.config.Config.min_report_gap ~now
+        r.detection
+    with
+    | Detection.Arm_td ->
+      r.detection <- Detection.Pending;
+      ignore
+        (Sim.after ~label:"detection-td" t.sim t.td (fun () ->
+             on_detect t r pkt))
+    | Detection.Report -> on_detect t r pkt
+    | Detection.Wait -> ()
+
+  (* "Do you really not want this flow?" — confirm iff we asked. *)
+  let answer_query t ~src flow ~nonce =
+    match Hashtbl.find_opt t.flows flow with
+    | Some r when requested_live t r ->
+      t.queries_answered <- t.queries_answered + 1;
+      Span.event (spans t) ~node:t.node.Node.name ~corr:r.corr
+        ~now:(Sim.now t.sim) "victim-confirmed";
+      send t ~dst:src (Message.Verification_reply { flow; nonce })
+    | Some _ | None -> ()
+
+  let requested t flow =
+    match Hashtbl.find_opt t.flows flow with
+    | Some r -> requested_live t r
+    | None -> false
 
   let deliver t prev (node : Node.t) (pkt : Packet.t) =
     match pkt.payload with
-    | Packet.Data { attack = true; _ } -> on_attack_packet t pkt
+    | Packet.Data { attack = true; _ } -> observe_attack t pkt
     | Packet.Data _ ->
       t.good_packets <- t.good_packets + 1;
       Rate_meter.add t.good_meter ~now:(Sim.now t.sim) (float_of_int pkt.size)
     | Message.Verification_query { flow; nonce } ->
-      (* "Do you really not want this flow?" — confirm iff we asked. *)
-      if requested_live t flow then begin
-        t.queries_answered <- t.queries_answered + 1;
-        Span.event (spans t) ~node:t.node.Node.name ~corr:(corr_of t flow)
-          ~now:(Sim.now t.sim) "victim-confirmed";
-        send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
-      end
+      answer_query t ~src:pkt.src flow ~nonce
     | Message.Install_receipt r -> (
       match t.receipt_sink with Some f -> f r | None -> ())
     | _ -> prev node pkt
 
+  let make ~td ~path_source ~gateway ~config net node =
+    {
+      net;
+      sim = Network.sim_for net node;
+      node;
+      gateway;
+      config;
+      path_source;
+      td;
+      bucket =
+        Token_bucket.create ~rate:config.Config.r1
+          ~burst:config.Config.r1_burst;
+      flows = Hashtbl.create 32;
+      awaiting = 0;
+      attack_meter = Rate_meter.create ~window:1.0;
+      good_meter = Rate_meter.create ~window:1.0;
+      signer = None;
+      receipt_sink = None;
+      request_observer = None;
+      arrival_observer = None;
+      last_ppm_path = None;
+      ppm_stable = 0;
+      attack_packets = 0;
+      good_packets = 0;
+      requests_sent = 0;
+      requests_suppressed = 0;
+      requests_retransmitted = 0;
+      requests_gave_up = 0;
+      queries_answered = 0;
+    }
+
+  let proxy ~td ~config net node =
+    make ~td ~path_source:From_route_record ~gateway:node.Node.addr ~config
+      net node
+
   let create ?(td = 0.1) ?(path_source = From_route_record) ~gateway ~config
       net node =
-    let sim = Network.sim_for net node in
-    let t =
-      {
-        net;
-        sim;
-        node;
-        gateway;
-        config;
-        path_source;
-        detection = ref None;
-        bucket =
-          Token_bucket.create ~rate:config.Config.r1
-            ~burst:config.Config.r1_burst;
-        requested = Hashtbl.create 32;
-        awaiting_path = Hashtbl.create 8;
-        last_seen = Hashtbl.create 32;
-        retrying = Hashtbl.create 8;
-        attack_meter = Rate_meter.create ~window:1.0;
-        good_meter = Rate_meter.create ~window:1.0;
-        per_flow = Hashtbl.create 32;
-        corrs = Hashtbl.create 32;
-        signer = None;
-        receipt_sink = None;
-        request_observer = None;
-        arrival_observer = None;
-        last_ppm_path = None;
-        ppm_stable = 0;
-        attack_packets = 0;
-        good_packets = 0;
-        requests_sent = 0;
-        requests_suppressed = 0;
-        requests_retransmitted = 0;
-        requests_gave_up = 0;
-        queries_answered = 0;
-      }
-    in
-    t.detection :=
-      Some
-        (Detection.create sim ~td ~min_report_gap:config.Config.min_report_gap
-           ~on_detect:(fun flow pkt -> on_detect t flow pkt));
-    Aitf_obs.Obs.with_metrics (Sim.obs sim) (fun reg ->
+    let t = make ~td ~path_source ~gateway ~config net node in
+    Aitf_obs.Obs.with_metrics (Sim.obs t.sim) (fun reg ->
         let open Aitf_obs.Metrics in
         let p metric =
           Printf.sprintf "victim.%s.%s" node.Node.name metric
@@ -359,11 +374,9 @@ module Victim = struct
   let good_meter t = t.good_meter
 
   let flow_bytes t flow =
-    match Hashtbl.find_opt t.per_flow flow with
-    | Some c -> !c
-    | None -> 0.
+    match Hashtbl.find_opt t.flows flow with Some r -> r.bytes | None -> 0.
 
-  let attack_flows_seen t = Hashtbl.length t.per_flow
+  let attack_flows_seen t = Hashtbl.length t.flows
   let set_signer t f = t.signer <- Some f
   let set_receipt_sink t f = t.receipt_sink <- Some f
   let set_request_observer t f = t.request_observer <- Some f

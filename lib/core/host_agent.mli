@@ -1,9 +1,13 @@
 (** End-host AITF agents.
 
     {!Victim} turns a host into an AITF client: it meters the traffic it
-    receives, detects undesired flows (via {!Detection}), sends filtering
-    requests to its gateway — self-policed against its R1 contract — and
-    answers the 3-way-handshake queries attacker-side gateways send it.
+    receives, logs each undesired flow in one per-flow record, detects it
+    (the {!Detection} rule on that record), sends filtering requests to its
+    gateway — self-policed against its R1 contract, retransmitted while
+    the flow keeps arriving — and confirms the 3-way-handshake queries
+    attacker-side gateways send it for exactly the flows it requested.
+    {!Legacy} runs the same agent at a gateway on behalf of hosts that
+    speak no AITF ({!Victim.proxy}).
 
     {!Attacker} models the source side: it receives [To_attacker] requests
     and reacts per its {!Policy.attacker_response} — a compliant host
@@ -38,6 +42,23 @@ module Victim : sig
       previous handler for non-AITF, non-data payloads). [td] is the
       first-detection delay Td (default 0.1 s). Default path source is the
       route record. *)
+
+  val proxy : td:float -> config:Config.t -> Network.t -> Node.t -> t
+  (** The same agent run by a gateway node on behalf of the hosts behind it
+      ({!Legacy}): requests go to the node's own AITF agent with the path
+      from the packet's route record. Nothing is attached to the node and
+      no metrics are registered — the owner feeds the agent through
+      {!observe_attack} and {!answer_query}. *)
+
+  val observe_attack : t -> Packet.t -> unit
+  (** Log one undesired packet towards the protected host: meter it, then
+      detect, request and retransmit as the flow log dictates. *)
+
+  val answer_query : t -> src:Addr.t -> Flow_label.t -> nonce:int64 -> unit
+  (** A handshake query from [src]: confirm it iff {!requested}. *)
+
+  val requested : t -> Flow_label.t -> bool
+  (** Was a request for this flow sent less than T ago? *)
 
   val node : t -> Node.t
 

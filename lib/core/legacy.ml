@@ -1,129 +1,39 @@
-module Sim = Aitf_engine.Sim
-module Trace = Aitf_obs.Trace
-module Span = Aitf_obs.Span
-module Obs = Aitf_obs.Obs
+module Victim = Host_agent.Victim
 open Aitf_net
-open Aitf_filter
 
-type t = {
-  net : Network.t;
-  sim : Sim.t;
-  gateway : Gateway.t;
-  protected_prefixes : unit Lpm.t;
-  detection : Detection.t option ref;
-  bucket : Token_bucket.t;
-  requested : (Flow_label.t, float) Hashtbl.t;  (* flow -> expiry *)
-  corrs : (Flow_label.t, int) Hashtbl.t;
-      (* per-flow correlation id for span tracing, minted on first request
-         since the proxy fills the victim's role for a legacy host *)
-  mutable requests_sent : int;
-  mutable queries_answered : int;
-}
+type t = { agent : Victim.t; protected_prefixes : unit Lpm.t }
 
 let protects t a = Option.is_some (Lpm.lookup t.protected_prefixes a)
 
-let node t = Gateway.node t.gateway
-let spans t = (Sim.obs t.sim).Obs.spans
-
-let send t ~dst payload =
-  Network.originate t.net (node t)
-    (Message.packet ~src:(node t).Node.addr ~dst payload)
-
-let requested_live t flow =
-  match Hashtbl.find_opt t.requested flow with
-  | Some expiry when Sim.now t.sim < expiry -> true
-  | Some _ ->
-    Hashtbl.remove t.requested flow;
-    false
-  | None -> false
-
-let watching = requested_live
-
-(* Originate a request exactly as the victim would have; the gateway node
-   delivers it to its own AITF agent locally. *)
-let on_detect t flow (pkt : Packet.t) =
-  if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
-    let config = Gateway.config t.gateway in
-    t.requests_sent <- t.requests_sent + 1;
-    Hashtbl.replace t.requested flow (Sim.now t.sim +. config.Config.t_filter);
-    let corr =
-      match Hashtbl.find_opt t.corrs flow with
-      | Some c -> c
-      | None ->
-        let c = Obs.mint (Sim.obs t.sim) in
-        Hashtbl.replace t.corrs flow c;
-        if Option.is_some (spans t) then
-          Span.root (spans t) ~corr:c
-            ~flow:(Format.asprintf "%a" Flow_label.pp flow)
-            ~victim:(node t).Node.name ~now:(Sim.now t.sim);
-        c
-    in
-    Trace.emitf (Sim.obs t.sim).Obs.trace ~time:(Sim.now t.sim)
-      ~category:(node t).Node.name
-      "requesting block of %a on behalf of a legacy host" Flow_label.pp flow;
-    Span.start (spans t) ~corr ~stage:Span.Request
-      ~node:(node t).Node.name ~now:(Sim.now t.sim);
-    send t ~dst:(node t).Node.addr
-      (Message.Filtering_request
-         {
-           Message.flow;
-           target = Message.To_victim_gateway;
-           duration = config.Config.t_filter;
-           path = pkt.route_record;
-           hops = 0;
-           requestor = (node t).Node.addr;
-           corr;
-           auth = 0L;
-         })
-  end
-
+(* Fed from the transit hook only: the gateway node's local delivery stays
+   the gateway's own (it answers its own escalation-round queries there). *)
 let hook t (_node : Node.t) (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Data { attack = true; _ } when protects t pkt.dst ->
-    (match !(t.detection) with
-    | Some d -> Detection.observe d pkt
-    | None -> ());
+    Victim.observe_attack t.agent pkt;
     Node.Continue
   | Message.Verification_query { flow; nonce } when protects t pkt.dst ->
     (* Answer on the legacy victim's behalf — the gateway is on the path,
        which is all the handshake verifies — and consume the query so the
        AITF-oblivious host never sees it. *)
-    if requested_live t flow then begin
-      t.queries_answered <- t.queries_answered + 1;
-      send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
-    end;
+    Victim.answer_query t.agent ~src:pkt.src flow ~nonce;
     Node.Drop "legacy-proxy-query"
   | _ -> Node.Continue
 
 let attach ?(td = 0.1) ~protect ~gateway net =
-  let sim = Network.sim net in
   let prefixes = Lpm.create () in
   List.iter (fun p -> Lpm.insert prefixes p ()) protect;
-  let config = Gateway.config gateway in
+  let node = Gateway.node gateway in
   let t =
     {
-      net;
-      sim;
-      gateway;
+      agent = Victim.proxy ~td ~config:(Gateway.config gateway) net node;
       protected_prefixes = prefixes;
-      detection = ref None;
-      bucket =
-        Token_bucket.create ~rate:config.Config.r1 ~burst:config.Config.r1_burst;
-      requested = Hashtbl.create 32;
-      corrs = Hashtbl.create 32;
-      requests_sent = 0;
-      queries_answered = 0;
     }
   in
-  t.detection :=
-    Some
-      (Detection.create sim ~td ~min_report_gap:config.Config.min_report_gap
-         ~on_detect:(fun flow pkt -> on_detect t flow pkt));
-  Node.add_hook (node t) (hook t);
+  Node.add_hook node (hook t);
   t
 
-let requests_sent t = t.requests_sent
-let queries_answered t = t.queries_answered
-
-let flows_detected t =
-  match !(t.detection) with Some d -> Detection.flows_seen d | None -> 0
+let requests_sent t = Victim.requests_sent t.agent
+let queries_answered t = Victim.queries_answered t.agent
+let flows_detected t = Victim.attack_flows_seen t.agent
+let watching t flow = Victim.requested t.agent flow

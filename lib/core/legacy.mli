@@ -2,20 +2,22 @@
 
     An AITF network "has a filtering contract with each of its end-hosts" —
     but a deployment will always contain hosts that speak no AITF. This
-    module lets their gateway stand in for them:
+    module lets their gateway stand in for them, running a victim agent
+    ({!Host_agent.Victim.proxy}: the same flow log, detection, requests and
+    retransmissions) fed from a transit hook:
 
-    - it watches transit traffic towards the protected prefixes and runs
-      the same detection a victim host would (scenario ground truth plus a
-      Td delay, instant re-detection of logged labels);
+    - it watches transit traffic towards the protected prefixes (scenario
+      ground truth plus a Td delay, instant re-detection of logged labels);
     - it originates the filtering requests itself, self-policed to the
-      contract rate;
+      contract rate, to the gateway's own AITF agent;
     - being on the path, it legitimately answers the 3-way-handshake
       queries that attacker-side gateways address to the silent legacy
       victim (Section II-E's verification only proves the confirmer is
       on-path, which the gateway is), and consumes those queries so they
       never confuse the host.
 
-    Attach it to the same border router as the {!Gateway}. *)
+    Attach it to the same border router as the {!Gateway}. The node's local
+    delivery stays the gateway's. *)
 
 open Aitf_net
 open Aitf_filter
@@ -39,4 +41,4 @@ val protects : t -> Addr.t -> bool
 (** Is this destination covered? *)
 
 val watching : t -> Flow_label.t -> bool
-(** Is this flow currently in the protector's outstanding-request set? *)
+(** Was a request for this flow sent less than T ago? *)

@@ -2,6 +2,7 @@ type kind = One_shot | Periodic of float
 
 type t = {
   sim : Sim.t;
+  label : string option;
   kind : kind;
   action : unit -> unit;
   mutable handle : Sim.handle option;
@@ -10,7 +11,7 @@ type t = {
 
 let rec arm t delay =
   let h =
-    Sim.after t.sim delay (fun () ->
+    Sim.after ?label:t.label t.sim delay (fun () ->
         t.handle <- None;
         if not t.cancelled then begin
           t.action ();
@@ -22,16 +23,50 @@ let rec arm t delay =
   t.handle <- Some h
 
 let one_shot sim ~delay action =
-  let t = { sim; kind = One_shot; action; handle = None; cancelled = false } in
+  let t =
+    { sim; label = None; kind = One_shot; action; handle = None;
+      cancelled = false }
+  in
   arm t delay;
   t
 
 let periodic ?start sim ~period action =
   if period <= 0. then invalid_arg "Timer.periodic: period must be positive";
   let t =
-    { sim; kind = Periodic period; action; handle = None; cancelled = false }
+    {
+      sim;
+      label = None;
+      kind = Periodic period;
+      action;
+      handle = None;
+      cancelled = false;
+    }
   in
   arm t (match start with None -> period | Some s -> s);
+  t
+
+let backoff ~label sim ~rto ~factor ~retries ~evidence ~resend ~give_up =
+  let wait = ref rto and attempt = ref 1 in
+  let rec t =
+    {
+      sim;
+      label = Some label;
+      kind = One_shot;
+      action =
+        (fun () ->
+          if evidence () then
+            if !attempt <= retries then begin
+              resend !attempt;
+              incr attempt;
+              wait := !wait *. factor;
+              arm t !wait
+            end
+            else give_up ());
+      handle = None;
+      cancelled = false;
+    }
+  in
+  arm t rto;
   t
 
 let cancel t =

@@ -14,6 +14,24 @@ val periodic : ?start:float -> Sim.t -> period:float -> (unit -> unit) -> t
 (** Fire every [period] seconds; the first firing happens after
     [start] (default [period]) seconds. [period] must be positive. *)
 
+val backoff :
+  label:string ->
+  Sim.t ->
+  rto:float ->
+  factor:float ->
+  retries:int ->
+  evidence:(unit -> bool) ->
+  resend:(int -> unit) ->
+  give_up:(unit -> unit) ->
+  t
+(** An exponential-backoff retransmission schedule for a message the caller
+    has just sent. [rto] seconds from now, and after each retransmission
+    with the wait multiplied by [factor], it asks [evidence] whether the
+    peer has still not acted. If not, the schedule ends quietly. If so, it
+    calls [resend n] for the n-th retransmission on each of the first
+    [retries] such timeouts, and [give_up] on the one after. [label] tags each timeout event for the profiler.
+    {!cancel} stops the schedule. *)
+
 val cancel : t -> unit
 (** Stop the timer; idempotent. A periodic timer stops re-arming. *)
 

@@ -29,11 +29,11 @@ module Collector : sig
   (** Marked packets seen so far. *)
 
   val reconstruct : t -> Addr.t list option
-  (** The path in attacker-first order (matching {!Route_record.path}), or
-      [None] until the edges collected so far chain contiguously from
-      distance 0 upward. For each distance the most frequently seen edge is
-      trusted, making the reconstruction robust to occasional mark
-      spoofing. *)
+  (** The path in attacker-first order (the order of
+      [Packet.route_record]), or [None] until the edges collected so far
+      chain contiguously from distance 0 upward. For each distance the most
+      frequently seen edge is trusted, making the reconstruction robust to
+      occasional mark spoofing. *)
 
   val expected_samples : p:float -> hops:int -> float
   (** Classic bound on the expected number of marked packets needed:

@@ -43,7 +43,7 @@ val seen : store -> now:float -> Packet.t -> bool
 val reconstruct : t -> from:Node.t -> Packet.t -> Addr.t list * float
 (** [reconstruct t ~from pkt] walks upstream from [from] and returns the
     attack path in attacker-first order (the same convention as
-    {!Route_record.path}), excluding [from] itself, together with the
+    [Packet.route_record]), excluding [from] itself, together with the
     estimated query latency in seconds (one round trip per traversed link).
     An empty list means no upstream router remembers the packet. *)
 

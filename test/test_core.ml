@@ -118,80 +118,88 @@ let test_handshake_concurrent_independent () =
 
 (* --- Detection ------------------------------------------------------------ *)
 
+(* The Detection rule runs on the victim's flow log: a lone victim host
+   (requests go nowhere) with detections observed as the fresh requests
+   they trigger. *)
 let attack_packet ?(src = "1.0.0.1") () =
   Packet.make ~src:(addr src) ~dst:(addr "2.0.0.2") ~size:1000
     (Packet.Data { flow_id = 0; attack = true })
 
-let test_detection_td_delay () =
+let detection_rig ~td ~min_report_gap =
   let sim = Sim.create () in
-  let detections = ref [] in
-  let d =
-    Detection.create sim ~td:0.5 ~min_report_gap:1.0
-      ~on_detect:(fun _ _ -> detections := Sim.now sim :: !detections)
+  let net = Network.create sim in
+  let node =
+    Network.add_node net ~name:"v" ~addr:(addr "2.0.0.2") ~as_id:1 Node.Host
   in
-  ignore (Sim.at sim 1.0 (fun () -> Detection.observe d (attack_packet ())));
+  let v =
+    Host_agent.Victim.create ~td ~gateway:(addr "2.0.0.1")
+      ~config:{ Config.default with Config.min_report_gap } net node
+  in
+  let detections = ref [] in
+  Host_agent.Victim.set_request_observer v (fun req ->
+      detections := (Sim.now sim, req.Message.flow) :: !detections);
+  let observe_at time pkt =
+    ignore (Sim.at sim time (fun () -> Host_agent.Victim.observe_attack v pkt))
+  in
+  (sim, v, observe_at, fun () -> List.rev !detections)
+
+let test_detection_td_delay () =
+  let sim, _, observe_at, detections =
+    detection_rig ~td:0.5 ~min_report_gap:1.0
+  in
+  observe_at 1.0 (attack_packet ());
   Sim.run sim;
-  check (Alcotest.list (Alcotest.float 1e-9)) "fired at t+Td" [ 1.5 ] !detections
+  check (Alcotest.list (Alcotest.float 1e-9)) "fired at t+Td" [ 1.5 ]
+    (List.map fst (detections ()))
 
 let test_detection_no_duplicate_while_pending () =
-  let sim = Sim.create () in
-  let count = ref 0 in
-  let d =
-    Detection.create sim ~td:0.5 ~min_report_gap:1.0 ~on_detect:(fun _ _ -> incr count)
+  let sim, _, observe_at, detections =
+    detection_rig ~td:0.5 ~min_report_gap:1.0
   in
   for i = 0 to 4 do
-    ignore
-      (Sim.at sim (1.0 +. (0.05 *. float_of_int i)) (fun () ->
-           Detection.observe d (attack_packet ())))
+    observe_at (1.0 +. (0.05 *. float_of_int i)) (attack_packet ())
   done;
   Sim.run sim;
-  checki "single detection" 1 !count
+  checki "single detection" 1 (List.length (detections ()))
 
 let test_detection_instant_redetection () =
-  let sim = Sim.create () in
-  let times = ref [] in
-  let d =
-    Detection.create sim ~td:0.5 ~min_report_gap:1.0
-      ~on_detect:(fun _ _ -> times := Sim.now sim :: !times)
+  let sim, _, observe_at, detections =
+    detection_rig ~td:0.5 ~min_report_gap:1.0
   in
-  ignore (Sim.at sim 1.0 (fun () -> Detection.observe d (attack_packet ())));
+  observe_at 1.0 (attack_packet ());
   (* reappears at t=10: should fire immediately, not after Td *)
-  ignore (Sim.at sim 10.0 (fun () -> Detection.observe d (attack_packet ())));
+  observe_at 10.0 (attack_packet ());
   Sim.run sim;
   check (Alcotest.list (Alcotest.float 1e-9)) "instant redetect" [ 1.5; 10.0 ]
-    (List.rev !times);
-  checki "two detections" 2 (Detection.detections d)
+    (List.map fst (detections ()));
+  checki "two detections" 2 (List.length (detections ()))
 
 let test_detection_gap_damping () =
-  let sim = Sim.create () in
-  let count = ref 0 in
-  let d =
-    Detection.create sim ~td:0.0 ~min_report_gap:2.0 ~on_detect:(fun _ _ -> incr count)
+  let sim, _, observe_at, detections =
+    detection_rig ~td:0.0 ~min_report_gap:2.0
   in
   (* Td = 0: first report fires at once; then reports every >= 2 s. *)
   for i = 0 to 39 do
-    ignore
-      (Sim.at sim (0.1 *. float_of_int (i + 1)) (fun () ->
-           Detection.observe d (attack_packet ())))
+    observe_at (0.1 *. float_of_int (i + 1)) (attack_packet ())
   done;
   Sim.run sim;
   (* 4 s of packets with a 2 s damper: roughly 2 reports, certainly < 5. *)
-  checkb "damped" true (!count >= 1 && !count < 5)
+  let count = List.length (detections ()) in
+  checkb "damped" true (count >= 1 && count < 5)
 
 let test_detection_per_flow_state () =
-  let sim = Sim.create () in
-  let flows = ref [] in
-  let d =
-    Detection.create sim ~td:0.1 ~min_report_gap:1.0
-      ~on_detect:(fun l _ -> flows := l :: !flows)
+  let sim, v, observe_at, detections =
+    detection_rig ~td:0.1 ~min_report_gap:1.0
   in
-  ignore (Sim.at sim 1.0 (fun () -> Detection.observe d (attack_packet ~src:"1.0.0.1" ())));
-  ignore (Sim.at sim 1.0 (fun () -> Detection.observe d (attack_packet ~src:"1.0.0.2" ())));
+  observe_at 1.0 (attack_packet ~src:"1.0.0.1" ());
+  observe_at 1.0 (attack_packet ~src:"1.0.0.2" ());
   Sim.run sim;
-  checki "two flows detected" 2 (List.length !flows);
-  checki "flows seen" 2 (Detection.flows_seen d);
+  checki "two flows detected" 2 (List.length (detections ()));
+  checki "flows seen" 2 (Host_agent.Victim.attack_flows_seen v);
   checkb "known" true
-    (Detection.known d (Flow_label.host_pair (addr "1.0.0.1") (addr "2.0.0.2")))
+    (List.mem
+       (Flow_label.host_pair (addr "1.0.0.1") (addr "2.0.0.2"))
+       (List.map snd (detections ())))
 
 (* --- Protocol on the chain -------------------------------------------------- *)
 
@@ -559,6 +567,45 @@ let test_protocol_duplicate_requests_coalesce () =
   checkb "at most one propagation per round" true (prop <= 2);
   checkb "repeats counted as duplicates" true
     (dup >= Host_agent.Victim.requests_sent r.d.Chain.victim_agent - prop)
+
+(* A duplicate request refreshes the victim gateway's shadow entry; the
+   [shadow.inserts] metric counts new entries only, and says so. *)
+let test_protocol_duplicate_not_a_shadow_insert () =
+  let reg = Aitf_obs.Metrics.create () in
+  let sim = Sim.create ~obs:(Aitf_obs.Obs.create ~metrics:reg ()) () in
+  let topo = Chain.build sim Chain.default_spec in
+  let d = Chain.deploy ~config:fast_config ~rng:(Rng.create ~seed:3) topo in
+  let vgw = List.hd topo.Chain.victim_gws in
+  let victim = topo.Chain.victim.Node.addr in
+  let request () =
+    vgw.Node.local_deliver vgw
+      (Message.packet ~src:victim ~dst:vgw.Node.addr
+         (Message.Filtering_request
+            {
+              Message.flow =
+                Flow_label.host_pair topo.Chain.attacker.Node.addr victim;
+              target = Message.To_victim_gateway;
+              duration = fast_config.Config.t_filter;
+              path = [];
+              hops = 0;
+              requestor = victim;
+              corr = 0;
+              auth = 0L;
+            }))
+  in
+  ignore (Sim.at sim 1.0 request);
+  ignore (Sim.at sim 1.1 request);
+  Sim.run ~until:2.0 sim;
+  let name = Printf.sprintf "gateway.%s.shadow.inserts" vgw.Node.name in
+  checki "second request is a duplicate" 1
+    (gw_counter (List.hd d.Chain.victim_gateways) "req-duplicate");
+  checkb "one insert" true
+    (Aitf_obs.Metrics.value reg name = Some (Aitf_obs.Metrics.Counter 1.));
+  check
+    Alcotest.(option string)
+    "help says refreshes are not counted"
+    (Some "New entries; refreshes of a live entry are not counted")
+    (Aitf_obs.Metrics.help_of reg name)
 
 let test_protocol_client_policer_r2 () =
   (* The attacker's gateway may only bother its client at R2: with R2 tiny
@@ -1208,6 +1255,28 @@ let test_legacy_ignores_unprotected () =
     (Legacy.protects protector (addr "10.0.0.10")
     && not (Legacy.protects protector (addr "10.0.0.200")))
 
+(* The proxy listens on the transit hook only: the gateway node keeps its
+   own local delivery, where it answers its own escalation-round queries. *)
+let test_legacy_leaves_local_delivery () =
+  let sim = Sim.create () in
+  let net = Network.create sim in
+  let g_gw =
+    Network.add_node net ~name:"g_gw" ~addr:(addr "10.0.0.1") ~as_id:1
+      Node.Border_router
+  in
+  let g =
+    Gateway.create ~clients:[ Addr.prefix_of_string "10.0.0.0/24" ]
+      ~config:fast_config ~rng:(Rng.create ~seed:1) net g_gw
+  in
+  let before = g_gw.Node.local_deliver in
+  let hooks = List.length g_gw.Node.hooks in
+  let (_ : Legacy.t) =
+    Legacy.attach ~protect:[ Addr.prefix_of_string "10.0.0.0/28" ]
+      ~gateway:g net
+  in
+  checkb "local delivery untouched" true (g_gw.Node.local_deliver == before);
+  checki "one transit hook added" (hooks + 1) (List.length g_gw.Node.hooks)
+
 (* --- Strategy x cooperation matrix ---------------------------------------------- *)
 
 (* Whatever the attacker does and however many gateways defect, the flow
@@ -1307,6 +1376,8 @@ let () =
             test_legacy_protection_end_to_end;
           Alcotest.test_case "ignores unprotected" `Quick
             test_legacy_ignores_unprotected;
+          Alcotest.test_case "leaves local delivery" `Quick
+            test_legacy_leaves_local_delivery;
         ] );
       ( "contract",
         [
@@ -1391,6 +1462,8 @@ let () =
             test_protocol_not_on_path_rejected;
           Alcotest.test_case "duplicates coalesce" `Quick
             test_protocol_duplicate_requests_coalesce;
+          Alcotest.test_case "duplicate is not a shadow insert" `Quick
+            test_protocol_duplicate_not_a_shadow_insert;
           Alcotest.test_case "client policer r2" `Quick
             test_protocol_client_policer_r2;
           Alcotest.test_case "filter capacity" `Quick

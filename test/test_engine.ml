@@ -326,6 +326,46 @@ let test_timer_periodic_invalid () =
        false
      with Invalid_argument _ -> true)
 
+(* A backoff schedule with [evidence] read from [still]: the log holds
+   ("resend n" | "give up", time) in firing order. *)
+let backoff_run ?(cancel_at = infinity) ~retries still =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note what = log := (what, Sim.now sim) :: !log in
+  let t =
+    Timer.backoff ~label:"test-rto" sim ~rto:1.0 ~factor:2.0 ~retries
+      ~evidence:(fun () -> still (Sim.now sim))
+      ~resend:(fun n -> note (Printf.sprintf "resend %d" n))
+      ~give_up:(fun () -> note "give up")
+  in
+  if cancel_at < infinity then
+    ignore (Sim.at sim cancel_at (fun () -> Timer.cancel t));
+  Sim.run sim;
+  (List.rev !log, Timer.active t)
+
+let backoff_log = Alcotest.(list (pair string (float 1e-9)))
+
+let test_timer_backoff_gives_up () =
+  let log, active = backoff_run ~retries:2 (fun _ -> true) in
+  check backoff_log "doubling waits, then one give-up"
+    [ ("resend 1", 1.0); ("resend 2", 3.0); ("give up", 7.0) ]
+    log;
+  checkb "schedule over" false active;
+  let log, _ = backoff_run ~retries:0 (fun _ -> true) in
+  check backoff_log "no retries: give up at the first timeout"
+    [ ("give up", 1.0) ] log
+
+let test_timer_backoff_quiet () =
+  let log, active = backoff_run ~retries:5 (fun now -> now < 2.0) in
+  check backoff_log "ends silently once the evidence stops"
+    [ ("resend 1", 1.0) ] log;
+  checkb "schedule over" false active
+
+let test_timer_backoff_cancel () =
+  let log, active = backoff_run ~cancel_at:2.0 ~retries:5 (fun _ -> true) in
+  check backoff_log "nothing after cancel" [ ("resend 1", 1.0) ] log;
+  checkb "not active" false active
+
 (* --- Rng ----------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -531,6 +571,10 @@ let () =
           Alcotest.test_case "reschedule" `Quick test_timer_reschedule;
           Alcotest.test_case "invalid period" `Quick
             test_timer_periodic_invalid;
+          Alcotest.test_case "backoff gives up" `Quick
+            test_timer_backoff_gives_up;
+          Alcotest.test_case "backoff quiet" `Quick test_timer_backoff_quiet;
+          Alcotest.test_case "backoff cancel" `Quick test_timer_backoff_cancel;
         ] );
       ( "rng",
         [

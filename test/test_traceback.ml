@@ -15,43 +15,21 @@ let data ~src ~dst =
 
 (* --- Route record --------------------------------------------------------- *)
 
-let test_rr_hook_stamps () =
-  let node =
-    Node.make ~id:0 ~name:"gw" ~addr:(addr "5.0.0.1") ~as_id:1
-      Node.Border_router
-  in
-  let pkt = data ~src:(addr "1.0.0.1") ~dst:(addr "2.0.0.2") in
-  (match Route_record.hook node pkt with
-  | Node.Continue -> ()
-  | Node.Drop _ -> Alcotest.fail "hook must not drop");
-  check (Alcotest.list Alcotest.string) "stamped" [ "5.0.0.1" ]
-    (List.map Addr.to_string (Route_record.path pkt))
-
-let test_rr_round_indexing () =
-  let path = [ addr "1.1.1.1"; addr "2.2.2.2"; addr "3.3.3.3" ] in
-  checkb "round 0 = nearest attacker" true
-    (Route_record.gateway_for_round path ~round:0 = Some (addr "1.1.1.1"));
-  checkb "round 2" true
-    (Route_record.gateway_for_round path ~round:2 = Some (addr "3.3.3.3"));
-  checkb "past end" true (Route_record.gateway_for_round path ~round:3 = None)
-
-(* A 4-gateway chain: packets from h1 to h2 must arrive carrying the border
-   routers in traversal (attacker-first) order. *)
-let test_rr_end_to_end_order () =
+(* AITF gateways stamp the route record themselves ([Packet.record_route]
+   in their forwarding hook). [recorded_path ~gateways:n] builds
+   h1 - gw0 - ... - gw(n-1) - h2 with a gateway on every border router and
+   returns the record of the first packet h2 receives from h1. *)
+let recorded_path ~gateways =
   let sim = Sim.create () in
   let net = Network.create sim in
   let h1 = Network.add_node net ~name:"h1" ~addr:(addr "1.0.0.10") ~as_id:1 Node.Host in
   let h2 = Network.add_node net ~name:"h2" ~addr:(addr "2.0.0.10") ~as_id:9 Node.Host in
   let gws =
-    List.init 4 (fun i ->
-        let gw =
-          Network.add_node net
-            ~name:(Printf.sprintf "gw%d" i)
-            ~addr:(Addr.of_octets 5 i 0 1)
-            ~as_id:(2 + i) Node.Border_router
-        in
-        Route_record.install gw;
-        gw)
+    List.init gateways (fun i ->
+        Network.add_node net
+          ~name:(Printf.sprintf "gw%d" i)
+          ~addr:(Addr.of_octets 5 i 0 1)
+          ~as_id:(2 + i) Node.Border_router)
   in
   let rec chain = function
     | a :: (b :: _ as rest) ->
@@ -61,13 +39,44 @@ let test_rr_end_to_end_order () =
   in
   chain ([ h1 ] @ gws @ [ h2 ]);
   Network.compute_routes net;
-  let got = ref [] in
-  h2.Node.local_deliver <- (fun _ pkt -> got := Route_record.path pkt);
+  let rng = Rng.create ~seed:1 in
+  List.iter
+    (fun gw ->
+      ignore
+        (Aitf_core.Gateway.create ~clients:[] ~config:Aitf_core.Config.default
+           ~rng:(Rng.split rng) net gw))
+    gws;
+  let got = ref None in
+  h2.Node.local_deliver <-
+    (fun _ (pkt : Packet.t) ->
+      if !got = None then got := Some pkt.Packet.route_record);
   Network.originate net h1 (data ~src:h1.Node.addr ~dst:h2.Node.addr);
   Sim.run sim;
-  check (Alcotest.list Alcotest.string) "traversal order"
-    [ "5.0.0.1"; "5.1.0.1"; "5.2.0.1"; "5.3.0.1" ]
-    (List.map Addr.to_string !got)
+  Option.map (List.map Addr.to_string) !got
+
+let test_rr_hook_stamps () =
+  check
+    Alcotest.(option (list string))
+    "delivered, stamped once" (Some [ "5.0.0.1" ])
+    (recorded_path ~gateways:1)
+
+(* Escalation round k contacts [List.nth_opt path k] (Gateway.engage): the
+   (k+1)-th AITF node from the attacker. *)
+let test_rr_round_indexing () =
+  let path = Option.value ~default:[] (recorded_path ~gateways:3) in
+  let round k = List.nth_opt path k in
+  checkb "round 0 = nearest attacker" true (round 0 = Some "5.0.0.1");
+  checkb "round 2" true (round 2 = Some "5.2.0.1");
+  checkb "past end" true (round 3 = None)
+
+(* A 4-gateway chain: packets from h1 to h2 must arrive carrying the border
+   routers in traversal (attacker-first) order. *)
+let test_rr_end_to_end_order () =
+  check
+    Alcotest.(option (list string))
+    "traversal order"
+    (Some [ "5.0.0.1"; "5.1.0.1"; "5.2.0.1"; "5.3.0.1" ])
+    (recorded_path ~gateways:4)
 
 (* --- Bloom ---------------------------------------------------------------- *)
 
